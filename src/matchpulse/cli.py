@@ -57,6 +57,10 @@ def _atomic_write(out_dir, name, content):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
+        # mkstemp creates 0600; give the artifact the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         if os.path.exists(tmp):

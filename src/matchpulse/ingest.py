@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -312,7 +311,7 @@ def write_points_csv(matches, stream, schema=None):
             writer.writerow(row)
 
 
-def _imputed_series(values, feature_name):
+def _imputed_series(values):
     """Median-impute missing entries; returns (array, imputed indices)."""
     arr = np.array([np.nan if v is None else float(v) for v in values])
     missing = np.where(np.isnan(arr))[0]
@@ -337,8 +336,8 @@ def derive_features(m: MatchData) -> FeatureFrame:
     outcome = np.zeros(T, dtype=int)
     imputed = {}
 
-    speed, sp_idx = _imputed_series([p.ball_speed for p in pts], "x15")
-    dist, d_idx = _imputed_series([p.p1_distance_run for p in pts], "x14")
+    speed, sp_idx = _imputed_series([p.ball_speed for p in pts])
+    dist, d_idx = _imputed_series([p.p1_distance_run for p in pts])
     if sp_idx:
         imputed["x15"] = sp_idx
         imputed["x16"] = sp_idx
@@ -421,7 +420,3 @@ def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:
             else:
                 z[:, j] = (x - lo) / (hi - lo)
     return StandardizedFrame(z, columns, mins, maxs)
-
-
-def frames_to_json(frames, stream):
-    json.dump([f.to_json() for f in frames], stream, indent=1)

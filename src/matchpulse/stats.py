@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateDesign, NonConvergence, SingleClass
 
@@ -141,13 +140,25 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
     return LogisticModel(beta[:m], float(beta[m]), it, grad_norm, separated)
 
 
+def average_ranks(values):
+    """1-based ranks of `values`, tied entries sharing their mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    xs = values[order]
+    bounds = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels):
     """(AUC, ROC points). AUC is the Mann-Whitney statistic, ties half."""
     scores = np.asarray(scores, dtype=float)
     labels = _check_two_classes(labels).astype(int)
     pos = labels == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
     order = np.argsort(-scores, kind="stable")

@@ -34,7 +34,7 @@ def _draw_match(u, p, boost):
     seq = np.zeros(T, dtype=int)
     k = 0
     for t in range(T):
-        prob = p if boost is None else min(PROB_CEIL, max(PROB_FLOOR, p + boost(k)))
+        prob = min(PROB_CEIL, max(PROB_FLOOR, p + boost(k)))
         win = u[t] < prob
         seq[t] = 1 if win else 0
         if win:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -188,3 +190,28 @@ def test_report_chain(csv_path, tmp_path, capsys):
                  "changepoints.json", "cusum.csv", "shift.csv", "model.json",
                  "train_metrics.json", "shap.csv", "plot.py"):
         assert name in produced
+
+
+def test_report_artifacts_honour_umask(csv_path, tmp_path, capsys):
+    out = str(tmp_path / "report")
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, ["report", "--input", csv_path, "--out", out,
+                                  "--background", "10", "--shap-points", "2"]
+                         + FAST_MODEL)
+    finally:
+        os.umask(old)
+    assert code == 0
+    modes = {name: os.stat(os.path.join(out, name)).st_mode & 0o777
+             for name in artifacts(out)}
+    assert modes and set(modes.values()) == {0o644}, modes
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, matchpulse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

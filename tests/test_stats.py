@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.stats import rankdata
 
 from matchpulse.errors import DegenerateDesign, SingleClass
 from matchpulse.stats import (
     SEPARATION_COEF_CAP,
+    average_ranks,
     classification_metrics,
     fit_logistic,
     roc_auc,
@@ -105,6 +109,13 @@ def test_auc_pairwise_oracle_with_ties():
         scores = rng.integers(0, 5, size=n) / 4
         auc, _ = roc_auc(scores, labels)
         assert auc == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.25, 1.0, 3.0, 1e300]),
+                min_size=1, max_size=60))
+def test_average_ranks_equal_rankdata_with_ties(values):
+    assert np.array_equal(average_ranks(values), rankdata(values))
 
 
 def test_auc_perfect_and_reversed():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from matchpulse import streaks
 from matchpulse.errors import DegenerateMargins, EmptyStreaks
@@ -10,6 +11,7 @@ from matchpulse.streaks import (
     TERMINATION,
     ContingencyTable,
     build_contingency,
+    chi2_sf,
     chi_squared_test,
     conditional_win_probs,
     contingency_from_sequences,
@@ -110,14 +112,15 @@ def test_transition_prob_w5_fixture():
     assert transition_probs(table)[4] == pytest.approx(55 / 140)
 
 
-def test_chi2_printed_table_value():
-    # the Pearson statistic of the published 7x2 winning-streak counts;
-    # frozen from a direct evaluation of the formula
-    result = chi_squared_test(ContingencyTable(COUNTS_31.copy(), cap=7))
-    assert result.statistic == pytest.approx(32.599723768, abs=1e-6)
-    assert result.df == 6
-    assert result.p_value == pytest.approx(1.2518834e-05, rel=1e-5)
-    assert result.validity
+def test_chi2_sf_matches_incomplete_gamma():
+    xs = np.concatenate([[1e-6, 1e-3], np.geomspace(0.01, 1600.0, 120)])
+    for df in range(1, 61):
+        for x in xs:
+            ref = float(gammaincc(df / 2.0, x / 2.0))
+            if ref < 1e-300:
+                continue
+            assert chi2_sf(x, df) == pytest.approx(ref, rel=1e-12), (df, x)
+        assert chi2_sf(0.0, df) == 1.0
 
 
 def test_chi2_identical_proportions():
@@ -181,6 +184,13 @@ def test_exact_enumeration_path():
     result = exact_test(table, replicates=1000, enumerate_limit=10**6)
     assert result.method == "exact_enum"
     assert result.p_value == pytest.approx(enumerate_exact_p(table))
+
+
+def test_exact_mc_p_is_unchanged_for_fixed_seed():
+    # recorded from the scipy.special.gammaln version of the sampler
+    table = ContingencyTable(np.array([[12, 5], [7, 9], [3, 8], [2, 6]]), cap=4)
+    result = exact_test(table, replicates=20_000, seed=7)
+    assert result.p_value == 0.074
 
 
 def test_exact_requires_replicates():
