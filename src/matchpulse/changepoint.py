@@ -24,7 +24,6 @@ class CusumParams:
     d: float                   # drift, same units as M
     h: float | None = None     # threshold; may be tuned
     mu: float | None = None    # None -> match mean of M_t
-    reset_after_detection: bool = True
 
     def resolve_mu(self, values):
         return float(np.mean(values)) if self.mu is None else self.mu
@@ -101,8 +100,7 @@ def cusum_detect(m: MomentumSeries, p: CusumParams):
         if hit:
             times.append(t + 1)
             signs.append(hit)
-            if p.reset_after_detection:
-                up = dn = 0.0
+            up = dn = 0.0
     return CusumTrace(c_pos, c_neg), ChangePointSet(times, signs, T)
 
 
@@ -132,8 +130,7 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
     h = float(h0)
     best = None  # oscillation guard: closest count so far, ties -> larger h
     for it in range(1, max_iter + 1):
-        params = CusumParams(d=p.d, h=h, mu=p.mu,
-                             reset_after_detection=p.reset_after_detection)
+        params = CusumParams(d=p.d, h=h, mu=p.mu)
         trace, cps = cusum_detect(m, params)
         count = cps.n
         gap = abs(count - target_n)

@@ -14,11 +14,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import cached_property
 
 import numpy as np
 
 from . import ewm, ingest, pipeline, streaks, synth
-from .errors import MatchPulseError
+from .errors import BadModel, MatchPulseError
 from .explain import ShapConfig, mean_abs_shap, shapley_values
 from .model import (
     BpConfig,
@@ -101,15 +102,64 @@ def _load_config_file(path):
     return values
 
 
-def _parse_features(spec):
-    return [f.strip() for f in spec.split(",") if f.strip()]
-
-
 # ---------------------------------------------------------------- commands
 
-def cmd_ingest(args):
-    matches = ingest.parse_csv(args.input)
-    frames = [ingest.derive_features(m) for m in matches]
+class Run:
+    """Inputs of one CLI call, each built on first use and then shared.
+
+    `report` hands one Run to every step, so it parses and analyzes once;
+    a step still fails where it first needs an input that cannot be built.
+    """
+
+    def __init__(self, args):
+        self.args = args
+
+    @cached_property
+    def matches(self):
+        return ingest.parse_csv(self.args.input)
+
+    @cached_property
+    def frames(self):
+        return [ingest.derive_features(m) for m in self.matches]
+
+    @cached_property
+    def features(self):
+        return [f.strip() for f in self.args.features.split(",") if f.strip()]
+
+    @cached_property
+    def match(self):
+        return pipeline.pick_match(self.matches, self.args.match_id)
+
+    @cached_property
+    def momentum(self):
+        """Entropy weights and M_t of the picked match."""
+        # pick first, so a bad --match-id fails before any frame is derived
+        match, args = self.match, self.args
+        weights = None
+        if args.pooled_weights:
+            weights = ewm.pooled_entropy_weights(
+                [ingest.standardize(f, self.features) for f in self.frames],
+                epsilon=args.epsilon)
+        return pipeline.analyze_momentum(match, self.features,
+                                         epsilon=args.epsilon, weights=weights)
+
+    @cached_property
+    def analysis(self):
+        """`momentum` with CUSUM change points and V_t filled in."""
+        args = self.args
+        return pipeline.detect_changepoints(
+            self.momentum, drift=args.drift, threshold=args.threshold,
+            target=args.target_changepoints)
+
+    @cached_property
+    def scenario(self):
+        """(X, column names, y, scenario id -> column indices)."""
+        X, names, y = pipeline.scenario_inputs(self.analysis, self.features)
+        return X, names, y, pipeline.scenario_column_map(names, self.features)
+
+
+def cmd_ingest(args, run):
+    frames = run.frames
     buf = io.StringIO()
     for i, f in enumerate(frames):
         sub = io.StringIO()
@@ -121,13 +171,12 @@ def cmd_ingest(args):
     _atomic_write(args.out, "features.csv", buf.getvalue())
     _write_json(args.out, "features.json",
                 {"schema_version": 1, "matches": [f.to_json() for f in frames]})
-    _summary(command="ingest", matches=len(matches),
+    _summary(command="ingest", matches=len(run.matches),
              points=sum(f.T for f in frames), out=args.out)
 
 
-def cmd_test_momentum(args):
-    matches = ingest.parse_csv(args.input)
-    sequences = [m.outcomes() for m in matches]
+def cmd_test_momentum(args, run):
+    sequences = [m.outcomes() for m in run.matches]
     table = streaks.contingency_from_sequences(sequences, cap=args.cap)
     chi = streaks.chi_squared_test(table)
     result = {"schema_version": 1, "table": table.to_json(),
@@ -144,9 +193,8 @@ def cmd_test_momentum(args):
              p_value=chi.p_value, validity=chi.validity, n=table.n)
 
 
-def cmd_select_features(args):
-    matches = ingest.parse_csv(args.input)
-    frames = [ingest.derive_features(m) for m in matches]
+def cmd_select_features(args, run):
+    frames = run.frames
     X = np.vstack([f.features for f in frames])
     y = np.concatenate([f.outcome for f in frames])
     trace = stepwise_select(X, y, feature_ids=list(ingest.FEATURE_IDS))
@@ -156,26 +204,8 @@ def cmd_select_features(args):
              auc=trace.final_auc)
 
 
-def _analysis_for(args, need_changepoints=True):
-    matches = ingest.parse_csv(args.input)
-    match = pipeline.pick_match(matches, args.match_id)
-    weights = None
-    features = _parse_features(args.features)
-    if args.pooled_weights:
-        frames = [ingest.standardize(ingest.derive_features(m), features)
-                  for m in matches]
-        weights = ewm.pooled_entropy_weights(frames, epsilon=args.epsilon)
-    analysis = pipeline.analyze_momentum(match, features,
-                                         epsilon=args.epsilon, weights=weights)
-    if need_changepoints:
-        analysis = pipeline.detect_changepoints(
-            analysis, drift=args.drift, threshold=args.threshold,
-            target=args.target_changepoints)
-    return match, analysis
-
-
-def cmd_momentum(args):
-    match, analysis = _analysis_for(args, need_changepoints=False)
+def cmd_momentum(args, run):
+    match, analysis = run.match, run.momentum
     _write_json(args.out, "weights.json",
                 {"schema_version": 1, "match_id": match.match_id,
                  **analysis.weights.to_json()})
@@ -188,8 +218,8 @@ def cmd_momentum(args):
                               [float(w) for w in analysis.weights.weights])))
 
 
-def cmd_changepoints(args):
-    match, analysis = _analysis_for(args)
+def cmd_changepoints(args, run):
+    match, analysis = run.match, run.analysis
     cps = analysis.change_points
     _write_json(args.out, "changepoints.json", {
         "schema_version": 1, "match_id": match.match_id,
@@ -209,9 +239,8 @@ def cmd_changepoints(args):
              threshold=analysis.params.h)
 
 
-def cmd_shift(args):
-    match, analysis = _analysis_for(args)
-    ss = analysis.shift_series
+def cmd_shift(args, run):
+    match, ss = run.match, run.analysis.shift_series
     _write_json(args.out, "shift.json",
                 {"schema_version": 1, "match_id": match.match_id,
                  **ss.to_json()})
@@ -228,11 +257,8 @@ def _model_configs(args, input_dim):
             BpConfig(learning_rate=args.learning_rate, epochs=args.epochs))
 
 
-def cmd_train(args):
-    match, analysis = _analysis_for(args)
-    X, names, y = pipeline.scenario_inputs(
-        analysis, _parse_features(args.features))
-    col_map = pipeline.scenario_column_map(names, _parse_features(args.features))
+def cmd_train(args, run):
+    X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
     train_idx, test_idx = stratified_split(y, args.split, args.seed)
     net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
@@ -244,20 +270,17 @@ def cmd_train(args):
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
     metrics = classification_metrics(scores, y[test_idx])
     _write_json(args.out, "train_metrics.json", {
-        "schema_version": 1, "match_id": match.match_id,
+        "schema_version": 1, "match_id": run.match.match_id,
         "scenario": args.scenario,
         "columns": [names[c] for c in cols],
         "test_metrics": metrics.to_json(),
     })
-    _summary(command="train", match_id=match.match_id, scenario=args.scenario,
-             test_auc=metrics.auc, final_loss=net.history["final_loss"])
+    _summary(command="train", match_id=run.match.match_id,
+             scenario=args.scenario, test_auc=metrics.auc, final_loss=net.history["final_loss"])
 
 
-def cmd_evaluate(args):
-    match, analysis = _analysis_for(args)
-    X, names, y = pipeline.scenario_inputs(
-        analysis, _parse_features(args.features))
-    col_map = pipeline.scenario_column_map(names, _parse_features(args.features))
+def cmd_evaluate(args, run):
+    X, _, y, col_map = run.scenario
     seeds = list(range(args.seed, args.seed + args.eval_seeds))
     net_builder = lambda dim: NetConfig(dim, (args.hidden,))
     pso_cfg = PsoConfig(swarm=args.swarm, iterations=args.pso_iterations)
@@ -265,7 +288,7 @@ def cmd_evaluate(args):
     table, per_seed = scenario_matrix(X, y, col_map, args.split, seeds,
                                       net_builder, pso_cfg, bp_cfg)
     _write_json(args.out, "scenario_metrics.json", {
-        "schema_version": 1, "match_id": match.match_id, "seeds": seeds,
+        "schema_version": 1, "match_id": run.match.match_id, "seeds": seeds,
         "scenarios": {sid: table[sid].to_json() for sid in col_map},
     })
     _write_csv_rows(
@@ -273,19 +296,20 @@ def cmd_evaluate(args):
         ["scenario", "precision", "recall", "f1", "auc"],
         [(sid, table[sid].precision, table[sid].recall,
           table[sid].f1, table[sid].auc) for sid in col_map])
-    _summary(command="evaluate", match_id=match.match_id,
+    _summary(command="evaluate", match_id=run.match.match_id,
              auc={sid: table[sid].auc for sid in col_map})
 
 
-def cmd_shap(args):
-    match, analysis = _analysis_for(args)
-    X, names, y = pipeline.scenario_inputs(
-        analysis, _parse_features(args.features))
-    col_map = pipeline.scenario_column_map(names, _parse_features(args.features))
+def cmd_shap(args, run):
+    X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
     col_names = [names[c] for c in cols]
-    with open(args.model, encoding="utf-8") as fh:
-        net = TrainedNet.load(fh)
+    try:
+        with open(args.model, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise BadModel(f"cannot read model {args.model!r}: {exc}") from None
+    net = TrainedNet.from_json(doc)
     train_idx, test_idx = stratified_split(y, args.split, args.seed)
     rng = np.random.default_rng(args.seed)
     bg_idx = rng.choice(train_idx, size=min(args.background, len(train_idx)),
@@ -304,11 +328,11 @@ def cmd_shap(args):
         ["instance", "feature", "feature_value", "phi"],
         [(int(i), col_names[j], float(X[i, cols[j]]), float(r.phi[j]))
          for i, r in zip(sample, reports) for j in range(len(cols))])
-    _summary(command="shap", match_id=match.match_id,
+    _summary(command="shap", match_id=run.match.match_id,
              instances=len(reports), ranking=[f for f, _ in ranking])
 
 
-def cmd_synth(args):
+def cmd_synth(args, run):
     boost = None
     if args.boost:
         delta = args.boost
@@ -323,15 +347,15 @@ def cmd_synth(args):
              p=args.p, boost=args.boost, seed=args.seed)
 
 
-def cmd_report(args):
-    cmd_ingest(args)
-    cmd_test_momentum(args)
-    cmd_momentum(args)
-    cmd_changepoints(args)
-    cmd_shift(args)
-    cmd_train(args)
+def cmd_report(args, run):
+    cmd_ingest(args, run)
+    cmd_test_momentum(args, run)
+    cmd_momentum(args, run)
+    cmd_changepoints(args, run)
+    cmd_shift(args, run)
+    cmd_train(args, run)
     args.model = os.path.join(args.out, "model.json")
-    cmd_shap(args)
+    cmd_shap(args, run)
     _atomic_write(args.out, "plot.py", PLOT_STUB)
     _summary(command="report", out=args.out)
 
@@ -500,7 +524,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        args.fn(args)
+        args.fn(args, Run(args))
     except MatchPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,14 @@ class MissingRequired(MatchPulseError):
         super().__init__(f"missing non-imputable source for {feature} at point {point}")
 
 
+class PointOrder(MatchPulseError):
+    def __init__(self, row, match_id, point_no, previous):
+        self.row, self.match_id = row, match_id
+        super().__init__(
+            f"point_no {point_no} at row {row} does not follow point_no "
+            f"{previous} of match {match_id!r} (must strictly increase)")
+
+
 class UnknownColumn(MatchPulseError):
     def __init__(self, column_id):
         self.column_id = column_id
@@ -98,6 +106,10 @@ class DimMismatch(MatchPulseError):
 
 class NonFiniteLoss(MatchPulseError):
     pass
+
+
+class BadModel(MatchPulseError):
+    """A saved model that cannot be read or does not fit its own config."""
 
 
 # --- explain ---

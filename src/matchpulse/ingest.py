@@ -21,6 +21,7 @@ from .errors import (
     EmptyInput,
     MissingColumn,
     MissingRequired,
+    PointOrder,
     UnknownColumn,
 )
 
@@ -40,7 +41,7 @@ FLAG_FIELDS = [
     "p1_force_err", "p2_force_err",
 ]
 
-# internal field -> CSV header name; callers may override any entry
+# internal field -> CSV header name
 DEFAULT_SCHEMA = {
     "match_id": "match_id",
     "set_no": "set_no",
@@ -177,17 +178,21 @@ def _to_float(value, row_no, column):
         raise BadToken(row_no, column, value) from None
     if math.isnan(v):
         return None
+    if math.isinf(v):
+        raise BadToken(row_no, column, value)
     return v
 
 
-def parse_csv(source, schema=None) -> list:
+def parse_csv(source) -> list:
     """Parse a point-by-point CSV into one MatchData per distinct match_id.
 
     `source` may be a path, a text stream, or a byte stream (UTF-8).
     Missing cells (empty strings, or entirely absent optional columns)
-    become None, never zero.
+    become None, never zero; "nan" is missing too, while an infinite
+    number is a bad token. Within a match, point_no must strictly
+    increase from row to row.
     """
-    schema = {**DEFAULT_SCHEMA, **(schema or {})}
+    schema = DEFAULT_SCHEMA
     close = False
     if isinstance(source, str) and "\n" not in source and os.path.exists(source):
         stream = open(source, newline="", encoding="utf-8")
@@ -281,7 +286,11 @@ def parse_csv(source, schema=None) -> list:
 
             if match_id not in matches:
                 matches[match_id] = MatchData(match_id, [])
-            matches[match_id].points.append(rec)
+            points = matches[match_id].points
+            if points and rec.point_no <= points[-1].point_no:
+                raise PointOrder(row_no, match_id, rec.point_no,
+                                 points[-1].point_no)
+            points.append(rec)
 
         if n_rows == 0:
             raise EmptyInput("no data rows")
@@ -291,12 +300,11 @@ def parse_csv(source, schema=None) -> list:
             stream.close()
 
 
-def write_points_csv(matches, stream, schema=None):
+def write_points_csv(matches, stream):
     """Serialize MatchData back to the input CSV layout (round-trip safe)."""
-    schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    fields = list(schema.keys())
+    fields = list(DEFAULT_SCHEMA)
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([schema[f] for f in fields])
+    writer.writerow([DEFAULT_SCHEMA[f] for f in fields])
     for m in matches:
         for p in m.points:
             row = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteLoss, SingleClass
+from .errors import BadModel, DimMismatch, NonFiniteLoss, SingleClass
 from .stats import MetricsReport, classification_metrics
 
 SCENARIO_ORDER = ["base", "base_m", "base_m_cp", "base_m_cp_v"]
@@ -96,16 +96,26 @@ class TrainedNet:
 
     @classmethod
     def from_json(cls, doc):
-        cfg = NetConfig(doc["config"]["input_dim"],
-                        tuple(doc["config"]["hidden"]))
-        return cls(
-            cfg,
-            np.array(doc["params"]),
-            MinMaxScaler(np.array(doc["scaler"]["mins"]),
-                         np.array(doc["scaler"]["maxs"])),
-            doc.get("history", {}),
-            doc.get("seed", 0),
-        )
+        """Rebuild a net from `to_json` output; BadModel if it does not fit."""
+        try:
+            cfg = NetConfig(doc["config"]["input_dim"],
+                            tuple(doc["config"]["hidden"]))
+            params = np.array(doc["params"], dtype=float)
+            mins = np.array(doc["scaler"]["mins"], dtype=float)
+            maxs = np.array(doc["scaler"]["maxs"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadModel(f"malformed model: {exc!r}") from None
+        dims = cfg.layer_dims()
+        if not all(type(d) is int and d > 0 for d in dims):
+            raise BadModel(f"layer sizes must be positive integers: {dims}")
+        if params.shape != (cfg.n_params(),):
+            raise BadModel(f"model has {params.size} params, its "
+                           f"layers {dims} need {cfg.n_params()}")
+        if mins.shape != (cfg.input_dim,) or maxs.shape != (cfg.input_dim,):
+            raise BadModel(f"scaler sizes {mins.size}/{maxs.size} do not "
+                           f"match input_dim {cfg.input_dim}")
+        return cls(cfg, params, MinMaxScaler(mins, maxs),
+                   doc.get("history", {}), doc.get("seed", 0))
 
     def save(self, stream):
         json.dump(self.to_json(), stream, indent=1)

@@ -59,7 +59,7 @@ def analyze_momentum(match, features=None, epsilon=ewm.DEFAULT_EPSILON,
 
 
 def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
-                        target=None, tol=0.01, max_iter=200) -> MatchAnalysis:
+                        target=None) -> MatchAnalysis:
     """Fill in CUSUM results: fixed threshold, or tuned toward a target."""
     values = analysis.momentum.values
     base = changepoint.default_params(values)
@@ -68,8 +68,7 @@ def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
         h0 = threshold if threshold is not None else max(
             1e-6, float(np.std(values)))
         tuned = changepoint.tune_threshold(
-            analysis.momentum, target, changepoint.CusumParams(d=d), h0,
-            tol=tol, max_iter=max_iter)
+            analysis.momentum, target, changepoint.CusumParams(d=d), h0)
         analysis.params = changepoint.CusumParams(d=d, h=tuned.h)
         analysis.trace = tuned.trace
         analysis.change_points = tuned.change_points

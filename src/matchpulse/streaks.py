@@ -271,15 +271,13 @@ def enumerate_exact_p(table: ContingencyTable) -> float:
     return min(total_p, 1.0)
 
 
-def exact_test(table: ContingencyTable, replicates=100_000, seed=0,
-               enumerate_limit=0) -> TestResult:
+def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResult:
     """Monte-Carlo Fisher-Freeman-Halton style exact test.
 
     Tables are sampled from the multivariate hypergeometric null via
     sequential hypergeometric column allocation; the p-value is the
     probability mass of tables no more likely than the observed one.
-    With `enumerate_limit` > 0 and a small table, falls back to full
-    enumeration (replicates/SE then reported as None/0).
+    `enumerate_exact_p` computes this p-value exactly, for small tables.
     """
     if replicates < 1000:
         raise ValueError("replicates must be >= 1000")
@@ -288,10 +286,6 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0,
     cols = counts.sum(axis=0)
     if counts.shape[0] < 2 or cols.min() <= 0:
         raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
-
-    if enumerate_limit and _table_space_bound(rows, cols) <= enumerate_limit:
-        p = enumerate_exact_p(table)
-        return TestResult("exact_enum", None, None, p, True, None, 0.0)
 
     lfm, lfn = _margin_log_consts(counts)
     obs_lp = _log_table_prob(counts, lfm, lfn)
@@ -319,17 +313,6 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0,
     p = hits / replicates
     se = math.sqrt(max(p * (1 - p), 1.0 / replicates) / replicates)
     return TestResult("exact_mc", None, None, p, True, replicates, se)
-
-
-def _table_space_bound(rows, cols):
-    # loose upper bound on the number of k x 2 tables with these margins
-    bound = 1
-    c1 = int(cols[0])
-    for r in rows:
-        bound *= min(int(r), c1) + 1
-        if bound > 10**12:
-            break
-    return bound
 
 
 def conditional_win_probs(sequences, cap=DEFAULT_CAP) -> ConditionalProbTable:

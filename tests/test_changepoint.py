@@ -40,7 +40,7 @@ def test_step_fixture_positive_at_t5():
 def test_hand_rolled_recursion_oracle():
     rng = np.random.default_rng(0)
     values = rng.random(60)
-    params = CusumParams(d=0.03, h=0.4, mu=0.5, reset_after_detection=True)
+    params = CusumParams(d=0.03, h=0.4, mu=0.5)
     trace, cps = cusum_detect(series(values), params)
     # explicit scalar re-run of the recursion
     up = dn = 0.0

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from matchpulse import ingest
 from matchpulse.cli import main
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FAST_MODEL = ["--hidden", "3", "--swarm", "6", "--pso-iterations", "10",
               "--epochs", "30"]
 
@@ -24,6 +26,14 @@ def run(capsys, argv):
     captured = capsys.readouterr()
     summary = json.loads(captured.out.strip().splitlines()[-1]) if captured.out else {}
     return code, summary, captured.err
+
+
+def run_process(argv):
+    """(exit code, stderr) of the CLI run as a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "matchpulse.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture()
@@ -208,10 +218,95 @@ def test_report_artifacts_honour_umask(csv_path, tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, matchpulse.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _swap_first_points(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def _infinite_speed(lines):
+    col = lines[0].split(",").index("ball_speed")
+    cells = lines[3].split(",")
+    cells[col] = "inf"
+    lines[3] = ",".join(cells)
+
+
+@pytest.mark.parametrize("edit", [_swap_first_points, _infinite_speed])
+def test_bad_rows_exit_1_without_traceback(synthetic_csv, tmp_path, edit):
+    lines = synthetic_csv.splitlines()
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, err = run_process(["report", "--input", str(bad),
+                             "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "at row" in err
+
+
+def test_shap_rejects_broken_model_without_traceback(csv_path, tmp_path, capsys):
+    out = str(tmp_path / "train")
+    assert run(capsys, ["train", "--input", csv_path, "--out", out]
+               + FAST_MODEL)[0] == 0
+    text = open(os.path.join(out, "model.json")).read()
+    doc = json.loads(text)
+    doc["params"] = doc["params"][:-3]
+    broken = {"truncated.json": text[:300], "short.json": json.dumps(doc)}
+    for name, content in broken.items():
+        model = tmp_path / name
+        model.write_text(content)
+        code, err = run_process(["shap", "--input", csv_path, "--model",
+                                 str(model), "--out", str(tmp_path / "shap")]
+                                + FAST_MODEL)
+        assert code == 1, name
+        assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_report_parses_input_once(csv_path, tmp_path, capsys, monkeypatch):
+    sources = []
+    parse = ingest.parse_csv
+    monkeypatch.setattr(ingest, "parse_csv",
+                        lambda source: sources.append(source) or parse(source))
+    code, _, _ = run(capsys, ["report", "--input", csv_path,
+                              "--out", str(tmp_path / "report"),
+                              "--background", "10", "--shap-points", "2"]
+                     + FAST_MODEL)
+    assert code == 0
+    assert sources == [csv_path]
+
+
+def test_report_equals_individual_commands(csv_path, tmp_path, capsys,
+                                           monkeypatch):
+    momentum = ["--match-id", "synthetic-0002", "--pooled-weights"]
+    cusum = momentum + ["--target-changepoints", "6"]
+    model = cusum + FAST_MODEL
+    shap = ["--background", "10", "--shap-points", "2"]
+    streak = ["--exact", "--replicates", "2000"]
+    steps = [["ingest"], ["test-momentum"] + streak, ["momentum"] + momentum,
+             ["changepoints"] + cusum, ["shift"] + cusum, ["train"] + model,
+             ["shap", "--model", os.path.join("out", "model.json")]
+             + model + shap]
+
+    def stdout_of(argv):
+        assert main(argv + ["--input", csv_path, "--out", "out"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    # the same relative --out on both sides, so summaries that echo it agree
+    (tmp_path / "report").mkdir()
+    monkeypatch.chdir(tmp_path / "report")
+    report_lines = stdout_of(["report"] + streak + model + shap)
+    report_files = artifacts("out")
+    (tmp_path / "steps").mkdir()
+    monkeypatch.chdir(tmp_path / "steps")
+    step_lines = [line for argv in steps for line in stdout_of(argv)]
+
+    assert report_lines[:-1] == step_lines
+    assert json.loads(report_lines[-1]) == {"command": "report", "out": "out"}
+    assert report_files.pop("plot.py")
+    assert report_files == artifacts("out")

@@ -5,7 +5,13 @@ import pytest
 
 from conftest import build_match, corpus_csv
 from matchpulse import ingest
-from matchpulse.errors import BadToken, EmptyInput, MissingColumn, UnknownColumn
+from matchpulse.errors import (
+    BadToken,
+    EmptyInput,
+    MissingColumn,
+    PointOrder,
+    UnknownColumn,
+)
 from matchpulse.ingest import (
     FeatureFrame,
     derive_features,
@@ -55,10 +61,31 @@ def test_missing_required_column():
 
 def test_missing_cells_become_none_not_zero():
     text = ("match_id,point_no,point_victor,ball_speed\n"
-            "m1,1,1,\nm1,2,2,181.5\n")
+            "m1,1,1,\nm1,2,2,181.5\nm1,3,1,nan\n")
     match = parse_csv(text)[0]
     assert match.points[0].ball_speed is None
     assert match.points[1].ball_speed == 181.5
+    assert match.points[2].ball_speed is None
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+def test_infinite_number_is_bad_token(token):
+    text = ("match_id,point_no,point_victor,ball_speed\n"
+            f"m1,1,1,181.5\nm1,2,2,{token}\n")
+    with pytest.raises(BadToken) as exc:
+        parse_csv(text)
+    assert (exc.value.row, exc.value.column) == (3, "ball_speed")
+
+
+@pytest.mark.parametrize("rows", ["m1,2,1\nm1,1,1\n", "m1,1,1\nm1,1,2\n"])
+def test_point_no_must_strictly_increase(rows):
+    with pytest.raises(PointOrder, match="at row 3"):
+        parse_csv(MINIMAL_HEADER + rows)
+
+
+def test_point_order_is_per_match():
+    matches = parse_csv(MINIMAL_HEADER + "m1,1,1\nm2,1,2\nm1,2,2\nm2,5,1\n")
+    assert [[p.point_no for p in m.points] for m in matches] == [[1, 2], [1, 5]]
 
 
 def test_derive_score_difference_and_lead(synthetic_match):

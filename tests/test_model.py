@@ -1,9 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from matchpulse.errors import DimMismatch, SingleClass
+from matchpulse.errors import BadModel, DimMismatch, SingleClass
 from matchpulse.model import (
     BpConfig,
     MinMaxScaler,
@@ -194,6 +195,31 @@ def test_save_load_roundtrip():
     assert np.array_equal(loaded.params, net.params)
     probe = rng.standard_normal((7, 2))
     assert np.allclose(loaded.predict_proba(probe), net.predict_proba(probe))
+
+
+def _broken(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("params"),
+    lambda d: d["scaler"].pop("maxs"),
+    lambda d: d.pop("config"),
+    lambda d: d.__setitem__("params", d["params"][:-3]),
+    lambda d: d.__setitem__("params", "abc"),
+    lambda d: d["scaler"].__setitem__("mins", d["scaler"]["mins"][:-1]),
+    lambda d: d["config"].__setitem__("hidden", ["3"]),
+    lambda d: d["config"].__setitem__("input_dim", 2.5),
+], ids=["no-params", "no-maxs", "no-config", "params-short", "params-text",
+        "mins-short", "hidden-text", "input-dim-float"])
+def test_from_json_rejects_models_that_do_not_fit(edit):
+    net = TrainedNet(NetConfig(2, (3,)), np.zeros(NetConfig(2, (3,)).n_params()),
+                     MinMaxScaler(np.zeros(2), np.ones(2)))
+    TrainedNet.from_json(net.to_json())
+    with pytest.raises(BadModel):
+        TrainedNet.from_json(_broken(net.to_json(), edit))
 
 
 def test_stratified_split_preserves_balance():

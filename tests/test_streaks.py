@@ -179,13 +179,6 @@ def test_exact_mc_matches_enumeration_small_tables():
         checked += 1
 
 
-def test_exact_enumeration_path():
-    table = ContingencyTable(np.array([[4, 2], [1, 3], [2, 2]]), cap=3)
-    result = exact_test(table, replicates=1000, enumerate_limit=10**6)
-    assert result.method == "exact_enum"
-    assert result.p_value == pytest.approx(enumerate_exact_p(table))
-
-
 def test_exact_mc_p_is_unchanged_for_fixed_seed():
     # recorded from the scipy.special.gammaln version of the sampler
     table = ContingencyTable(np.array([[12, 5], [7, 9], [3, 8], [2, 6]]), cap=4)
