@@ -362,15 +362,66 @@ def cmd_report(args, run):
 
 # ---------------------------------------------------------------- parser
 
+def _checked(kind, ok, rule):
+    """argparse type: a `kind` value for which ok(value) holds."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    convert.__name__ = kind.__name__        # argparse: "invalid int value"
+    return convert
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+_CAP = _checked(int, lambda v: v >= 2, ">= 2")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "between 0 and 1")
+
+
+class _Command(argparse.ArgumentParser):
+    """Subcommand parser that keeps its options by dest, so a config file
+    can set their defaults through each flag's own type and choices."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+    def config_defaults(self, values):
+        defaults = {}
+        for key, raw in values.items():
+            action = self.options.get(key)
+            if action is None:
+                continue
+            if isinstance(action.const, bool):      # store_true
+                defaults[key] = raw.lower() in ("1", "true", "yes")
+                continue
+            try:
+                value = action.type(raw) if action.type else raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise MatchPulseError(f"config key {key!r}: {exc}") from None
+            if action.choices is not None and value not in action.choices:
+                raise MatchPulseError(f"config key {key!r}: {value!r} is not "
+                                      f"one of {sorted(action.choices)}")
+            defaults[key] = value
+        self.set_defaults(**defaults)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="matchpulse",
         description="Momentum analysis for point-by-point racket-sport data")
     parser.add_argument("--config", help="flat key=value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
+    parser.commands = {}
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = parser.commands[name] = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -402,11 +453,12 @@ def build_parser():
     def add_model_opts(p):
         p.add_argument("--scenario", default="base_m_cp_v",
                        choices=list(pipeline.SCENARIOS))
-        p.add_argument("--split", type=float, default=0.8,
+        p.add_argument("--split", type=_FRACTION, default=0.8,
                        help="training fraction of the stratified split")
-        p.add_argument("--hidden", type=int, default=8,
+        p.add_argument("--hidden", type=_POSITIVE, default=8,
                        help="hidden layer width")
-        p.add_argument("--swarm", type=int, default=30, help="PSO swarm size")
+        p.add_argument("--swarm", type=_POSITIVE, default=30,
+                       help="PSO swarm size")
         p.add_argument("--pso-iterations", type=int, default=100)
         p.add_argument("--learning-rate", type=float, default=0.05)
         p.add_argument("--epochs", type=int, default=500,
@@ -418,11 +470,11 @@ def build_parser():
     p = add("test-momentum", cmd_test_momentum,
             help="streak contingency table and independence tests")
     add_input(p)
-    p.add_argument("--cap", type=int, default=streaks.DEFAULT_CAP,
+    p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP,
                    help="pooling cap for streak lengths")
     p.add_argument("--exact", action="store_true",
                    help="always run the Monte-Carlo exact test")
-    p.add_argument("--replicates", type=int, default=100_000)
+    p.add_argument("--replicates", type=_POSITIVE, default=100_000)
 
     p = add("select-features", cmd_select_features,
             help="stepwise AUC feature selection over all matches")
@@ -454,7 +506,7 @@ def build_parser():
     add_momentum_opts(p)
     add_cusum_opts(p)
     add_model_opts(p)
-    p.add_argument("--eval-seeds", type=int, default=5,
+    p.add_argument("--eval-seeds", type=_POSITIVE, default=5,
                    help="number of split/train seeds to average")
 
     p = add("shap", cmd_shap, help="exact Shapley attribution of a model")
@@ -477,9 +529,9 @@ def build_parser():
 
     p = add("report", cmd_report, help="full pipeline for one match")
     add_input(p)
-    p.add_argument("--cap", type=int, default=streaks.DEFAULT_CAP)
+    p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--replicates", type=int, default=100_000)
+    p.add_argument("--replicates", type=_POSITIVE, default=100_000)
     add_momentum_opts(p)
     add_cusum_opts(p)
     add_model_opts(p)
@@ -501,26 +553,15 @@ def main(argv=None):
             parser.error("--config requires a path")
         try:
             file_values = _load_config_file(cfg_path)
-        except OSError as exc:
+            unknown = set(file_values).difference(
+                *(c.options for c in parser.commands.values()))
+            if unknown:
+                raise MatchPulseError(f"unknown config keys: {sorted(unknown)}")
+            for command in parser.commands.values():
+                command.config_defaults(file_values)
+        except (OSError, MatchPulseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        known = set()
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known.update(a.dest for a in action._actions)
-        unknown = set(file_values) - known
-        if unknown:
-            print(f"error: unknown config keys: {sorted(unknown)}",
-                  file=sys.stderr)
-            return 1
-        for action in parser._subparsers._group_actions[0].choices.values():
-            defaults = {}
-            for a in action._actions:
-                if a.dest in file_values:
-                    raw = file_values[a.dest]
-                    defaults[a.dest] = a.type(raw) if a.type else (
-                        raw.lower() in ("1", "true", "yes")
-                        if isinstance(a.const, bool) else raw)
-            action.set_defaults(**defaults)
 
     args = parser.parse_args(argv)
     try:

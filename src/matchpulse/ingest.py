@@ -2,14 +2,15 @@
 
 The input schema follows the published 37-column point-by-point format
 (score tokens 0/15/30/40/AD, per-player flags, ball speed, distance run).
-From each match we derive 16 per-point features x1..x16 and the binary
-point outcome for Player 1, then min-max standardize selected columns.
+Each match is kept as columns: a numpy structured array with one field
+per schema field and one row per point. From each match we derive 16
+per-point features x1..x16 and the binary point outcome for Player 1,
+then min-max standardize selected columns.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import (
     BadToken,
     EmptyInput,
+    MatchPulseError,
     MissingColumn,
     MissingRequired,
     PointOrder,
@@ -26,6 +28,7 @@ from .errors import (
 )
 
 SCORE_ORDINALS = {"0": 0, "15": 1, "30": 2, "40": 3, "AD": 4}
+SCORE_TOKENS = list(SCORE_ORDINALS)
 
 FEATURE_IDS = [f"x{i}" for i in range(1, 17)]
 
@@ -70,47 +73,80 @@ DEFAULT_SCHEMA = {
     "p2_distance_run": "p2_distance_run",
 }
 
-# columns every file must resolve; everything else may be absent
+# columns every file must resolve, with non-empty cells; the rest may be absent
 REQUIRED_FIELDS = ("match_id", "point_no", "point_victor")
 
+# Text fields are stored as objects (None when missing); every other field is
+# a float64 column with NaN when missing, score tokens as their ordinals.
+TEXT_FIELDS = ("match_id", "serve_direction", "serve_depth", "return_depth")
+REAL_FIELDS = ("ball_speed", "ball_spin", "game_time",
+               "p1_distance_run", "p2_distance_run")
+TOKEN_FIELDS = ("p1_score_token", "p2_score_token")
+POINT_DTYPE = np.dtype([(f, object if f in TEXT_FIELDS else float)
+                        for f in DEFAULT_SCHEMA])
 
-@dataclass
-class PointRecord:
-    match_id: str
-    point_no: int
-    point_victor: int
-    set_no: int | None = None
-    game_no: int | None = None
-    p1_games: int | None = None
-    p2_games: int | None = None
-    p1_score_token: str | None = None
-    p2_score_token: str | None = None
-    server: int | None = None
-    serve_no: int | None = None
-    p1_points_won: int | None = None
-    p2_points_won: int | None = None
-    game_victor: int | None = None
-    set_victor: int | None = None
-    flags: dict = field(default_factory=dict)
-    ball_speed: float | None = None
-    ball_spin: float | None = None
-    rally_length: int | None = None
-    game_time: float | None = None
-    serve_direction: str | None = None
-    serve_depth: str | None = None
-    return_depth: str | None = None
-    p1_distance_run: float | None = None
-    p2_distance_run: float | None = None
+# larger integers would not survive float64 storage
+_INT_LIMIT = 2 ** 53
+
+
+def _integer(allowed=None):
+    def convert(v):
+        i = int(v)
+        if abs(i) > _INT_LIMIT or (allowed and i not in allowed):
+            raise ValueError(v)
+        return i
+    return convert
+
+
+def _real(v):
+    x = float(v)               # "nan" stays NaN, i.e. missing
+    if math.isinf(x):
+        raise ValueError(v)
+    return x
+
+
+def _token(v):
+    if v not in SCORE_ORDINALS:
+        raise ValueError(v)
+    return SCORE_ORDINALS[v]
+
+
+# field -> cell converter, in the order that decides which of several faults
+# in one row is reported
+_CHECKS = {
+    "match_id": str,
+    "point_victor": _integer((1, 2)),
+    "point_no": _integer(),
+    **{f: _integer() for f in ("set_no", "game_no", "p1_games", "p2_games",
+                               "p1_points_won", "p2_points_won", "rally_length")},
+    "server": _integer((1, 2)),
+    "serve_no": _integer((1, 2)),
+    "game_victor": _integer((0, 1, 2)),
+    "set_victor": _integer((0, 1, 2)),
+    **{f: _token for f in TOKEN_FIELDS},
+    **{f: _integer((0, 1)) for f in FLAG_FIELDS},
+    **{f: _real for f in REAL_FIELDS},
+    **{f: str for f in ("serve_direction", "serve_depth", "return_depth")},
+}
+
+
+def point_table(columns):
+    """Structured array of points from field -> values; absent fields are missing."""
+    # np.zeros: np.empty is much slower to set up object fields
+    table = np.zeros(len(columns["point_no"]), POINT_DTYPE)
+    for f in DEFAULT_SCHEMA:
+        table[f] = columns.get(f, None if f in TEXT_FIELDS else np.nan)
+    return table
 
 
 @dataclass
 class MatchData:
     match_id: str
-    points: list
+    points: np.ndarray              # POINT_DTYPE, one row per point
 
     def outcomes(self) -> np.ndarray:
         """Binary vector, 1 where Player 1 won the point."""
-        return np.array([1 if p.point_victor == 1 else 0 for p in self.points])
+        return (self.points["point_victor"] == 1).astype(int)
 
 
 @dataclass
@@ -164,170 +200,147 @@ class StandardizedFrame:
         return self.z.shape[0]
 
 
-def _to_int(value, row_no, column):
-    try:
-        return int(value)
-    except ValueError:
-        raise BadToken(row_no, column, value) from None
+def _read(stream):
+    """Read the header and the non-blank rows: (schema field -> column
+    index, row numbers, cells column by column)."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInput("no header row")
+    header = [h.strip() for h in header]
+    index = {f: header.index(name) for f, name in DEFAULT_SCHEMA.items()
+             if name in header}
+    for f in REQUIRED_FIELDS:
+        if f not in index:
+            raise MissingColumn(DEFAULT_SCHEMA[f])
+    width = max(index.values()) + 1
+    row_nos, rows = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if "".join(row).strip():
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            row_nos.append(row_no)
+            rows.append(row)
+    if not rows:
+        raise EmptyInput("no data rows")
+    return index, row_nos, list(zip(*rows))
 
 
-def _to_float(value, row_no, column):
-    try:
-        v = float(value)
-    except ValueError:
-        raise BadToken(row_no, column, value) from None
-    if math.isnan(v):
-        return None
-    if math.isinf(v):
-        raise BadToken(row_no, column, value)
-    return v
+def _convert(cells, convert, required, dtype):
+    """Values of one column, and the index of its first bad cell (or None).
+
+    Each distinct cell is stripped and converted once. An empty cell is
+    missing (NaN, or None in text), or bad in a required column; so is a
+    cell `convert` rejects.
+    """
+    missing = None if dtype is object else np.nan
+    values, bad = {}, set()
+    for raw in set(cells):
+        v = raw.strip()
+        try:
+            if v == "" and required:
+                raise ValueError(v)
+            values[raw] = convert(v) if v else missing
+        except ValueError:
+            values[raw] = missing
+            bad.add(raw)
+    first = next((i for i, c in enumerate(cells) if c in bad), None) if bad else None
+    return np.fromiter(map(values.__getitem__, cells), dtype, len(cells)), first
 
 
 def parse_csv(source) -> list:
     """Parse a point-by-point CSV into one MatchData per distinct match_id.
 
-    `source` may be a path, a text stream, or a byte stream (UTF-8).
-    Missing cells (empty strings, or entirely absent optional columns)
-    become None, never zero; "nan" is missing too, while an infinite
-    number is a bad token. Within a match, point_no must strictly
-    increase from row to row.
+    `source` is a path or a text stream. Missing cells (empty strings, or
+    entirely absent optional columns) become NaN, or None in text columns,
+    never zero; "nan" is missing too, while an infinite number is a bad
+    token. The match_id, point_no and point_victor cells must not be
+    empty. Within a match, point_no must strictly increase from row to
+    row. Of several faults, the one in the earliest row is raised.
     """
-    schema = DEFAULT_SCHEMA
-    close = False
-    if isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        stream = io.StringIO(source)
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        stream = io.StringIO(data)
-    else:
-        raise TypeError(f"unsupported source: {type(source)!r}")
-
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput("no header row") from None
-        header = [h.strip() for h in header]
-        col_index = {}
-        for fld, col_name in schema.items():
-            if col_name in header:
-                col_index[fld] = header.index(col_name)
-        for fld in REQUIRED_FIELDS:
-            if fld not in col_index:
-                raise MissingColumn(schema[fld])
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, newline="", encoding="utf-8") as stream:
+                index, row_nos, cells = _read(stream)
+        else:
+            index, row_nos, cells = _read(source)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise MatchPulseError(f"cannot read input: {exc}") from None
 
-        matches: dict[str, MatchData] = {}
-        n_rows = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            n_rows += 1
+    columns, faults = {}, []
+    for rank, (f, convert) in enumerate(_CHECKS.items()):
+        if f in index:
+            col = cells[index[f]]
+            columns[f], bad = _convert(col, convert, f in REQUIRED_FIELDS,
+                                       object if f in TEXT_FIELDS else float)
+            if bad is not None:
+                faults.append((bad, rank, BadToken(
+                    row_nos[bad], DEFAULT_SCHEMA[f], col[bad].strip())))
+    del cells, col      # the cell strings: most of the memory a parse takes
 
-            def cell(fld):
-                idx = col_index.get(fld)
-                if idx is None or idx >= len(row):
-                    return None
-                v = row[idx].strip()
-                return v if v != "" else None
+    # group rows by match in order of first appearance, file order within
+    ids = columns["match_id"]
+    code_of = {}
+    codes = np.array([code_of.setdefault(m, len(code_of)) for m in ids])
+    order = np.argsort(codes, kind="stable")
+    point_no = columns["point_no"][order]
+    same_match = codes[order][1:] == codes[order][:-1]
+    steps = np.flatnonzero(same_match & (np.diff(point_no) <= 0))
+    if len(steps):
+        j = steps[np.argmin(order[steps + 1])]
+        i = order[j + 1]
+        faults.append((i, len(_CHECKS), PointOrder(
+            row_nos[i], ids[i], int(point_no[j + 1]), int(point_no[j]))))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
 
-            match_id = cell("match_id")
-            victor = _to_int(cell("point_victor"), row_no, schema["point_victor"])
-            if victor not in (1, 2):
-                raise BadToken(row_no, schema["point_victor"], cell("point_victor"))
-
-            rec = PointRecord(
-                match_id=match_id,
-                point_no=_to_int(cell("point_no"), row_no, schema["point_no"]),
-                point_victor=victor,
-            )
-            for fld in ("set_no", "game_no", "p1_games", "p2_games",
-                        "p1_points_won", "p2_points_won", "rally_length"):
-                v = cell(fld)
-                if v is not None:
-                    setattr(rec, fld, _to_int(v, row_no, schema[fld]))
-            for fld, allowed in (("server", (1, 2)), ("serve_no", (1, 2)),
-                                 ("game_victor", (0, 1, 2)), ("set_victor", (0, 1, 2))):
-                v = cell(fld)
-                if v is not None:
-                    iv = _to_int(v, row_no, schema[fld])
-                    if iv not in allowed:
-                        raise BadToken(row_no, schema[fld], v)
-                    setattr(rec, fld, iv)
-            for fld in ("p1_score_token", "p2_score_token"):
-                v = cell(fld)
-                if v is not None:
-                    if v not in SCORE_ORDINALS:
-                        raise BadToken(row_no, schema[fld], v)
-                    setattr(rec, fld, v)
-            for fld in FLAG_FIELDS:
-                v = cell(fld)
-                if v is not None:
-                    iv = _to_int(v, row_no, schema[fld])
-                    if iv not in (0, 1):
-                        raise BadToken(row_no, schema[fld], v)
-                    rec.flags[fld] = iv
-            for fld in ("ball_speed", "ball_spin", "game_time",
-                        "p1_distance_run", "p2_distance_run"):
-                v = cell(fld)
-                if v is not None:
-                    setattr(rec, fld, _to_float(v, row_no, schema[fld]))
-            for fld in ("serve_direction", "serve_depth", "return_depth"):
-                v = cell(fld)
-                if v is not None:
-                    setattr(rec, fld, v)
-
-            if match_id not in matches:
-                matches[match_id] = MatchData(match_id, [])
-            points = matches[match_id].points
-            if points and rec.point_no <= points[-1].point_no:
-                raise PointOrder(row_no, match_id, rec.point_no,
-                                 points[-1].point_no)
-            points.append(rec)
-
-        if n_rows == 0:
-            raise EmptyInput("no data rows")
-        return list(matches.values())
-    finally:
-        if close:
-            stream.close()
+    table = point_table(columns)[order]
+    bounds = np.cumsum(np.bincount(codes))[:-1]
+    return [MatchData(m, points)
+            for m, points in zip(code_of, np.split(table, bounds))]
 
 
 def write_points_csv(matches, stream):
     """Serialize MatchData back to the input CSV layout (round-trip safe)."""
-    fields = list(DEFAULT_SCHEMA)
+    def cells(f, values):
+        if f in TEXT_FIELDS:
+            return values                   # csv writes None as ""
+        if f in REAL_FIELDS:
+            return ["" if v != v else repr(v) for v in values]
+        if f in TOKEN_FIELDS:
+            return ["" if v != v else SCORE_TOKENS[int(v)] for v in values]
+        return ["" if v != v else int(v) for v in values]
+
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([DEFAULT_SCHEMA[f] for f in fields])
+    writer.writerow(DEFAULT_SCHEMA.values())
     for m in matches:
-        for p in m.points:
-            row = []
-            for f in fields:
-                v = p.flags.get(f) if f in FLAG_FIELDS else getattr(p, f)
-                if v is None:
-                    row.append("")
-                elif isinstance(v, float):
-                    row.append(repr(v))
-                else:
-                    row.append(v)
-            writer.writerow(row)
+        writer.writerows(zip(*(cells(f, m.points[f].tolist())
+                               for f in DEFAULT_SCHEMA)))
 
 
 def _imputed_series(values):
-    """Median-impute missing entries; returns (array, imputed indices)."""
-    arr = np.array([np.nan if v is None else float(v) for v in values])
-    missing = np.where(np.isnan(arr))[0]
+    """Median-impute missing (NaN) entries; returns (array, imputed indices)."""
+    arr = np.array(values, dtype=float)
+    missing = np.flatnonzero(np.isnan(arr))
     if len(missing) == len(arr):
-        return np.zeros(len(arr)), list(missing)
+        return np.zeros(len(arr)), missing.tolist()
     if len(missing):
         arr[missing] = np.nanmedian(arr)
-    return arr, list(missing)
+    return arr, missing.tolist()
+
+
+def _running_ratio(won, tried):
+    """Running total of `won` over that of `tried`, with 0/0 = 0."""
+    won, tried = np.cumsum(won), np.cumsum(tried)
+    return np.divide(won, tried, out=np.zeros(len(tried)), where=tried != 0)
+
+
+# (point field, feature) pairs that cannot be imputed, in the order checked
+_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score_token", "x2"),
+                  ("p2_score_token", "x2"), ("serve_no", "x3")] + [
+    (f, f) for f in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
+                     "p1_net_pt", "p1_net_pt_won", "p1_break_pt",
+                     "p1_break_pt_won")]
 
 
 def derive_features(m: MatchData) -> FeatureFrame:
@@ -338,14 +351,15 @@ def derive_features(m: MatchData) -> FeatureFrame:
     and including the current point, with 0/0 defined as 0. Ball speed
     and distance gaps are imputed with the match median and flagged.
     """
-    pts = m.points
-    T = len(pts)
-    X = np.zeros((T, 16))
-    outcome = np.zeros(T, dtype=int)
-    imputed = {}
+    p = m.points
+    missing = np.isnan([p[f] for f, _ in _NON_IMPUTABLE])
+    if missing.any():
+        t = int(missing.any(axis=0).argmax())
+        raise MissingRequired(_NON_IMPUTABLE[missing[:, t].argmax()][1], t + 1)
 
-    speed, sp_idx = _imputed_series([p.ball_speed for p in pts])
-    dist, d_idx = _imputed_series([p.p1_distance_run for p in pts])
+    imputed = {}
+    speed, sp_idx = _imputed_series(p["ball_speed"])
+    dist, d_idx = _imputed_series(p["p1_distance_run"])
     if sp_idx:
         imputed["x15"] = sp_idx
         imputed["x16"] = sp_idx
@@ -353,49 +367,26 @@ def derive_features(m: MatchData) -> FeatureFrame:
         for k in ("x12", "x13", "x14"):
             imputed[k] = d_idx
 
-    sets_p1 = sets_p2 = 0
-    net_pt = net_won = 0
-    bp = bp_won = 0
-    cum_dist = 0.0
-    for t, p in enumerate(pts):
-        outcome[t] = 1 if p.point_victor == 1 else 0
-        for fld, feat in (("p1_games", "x1"), ("p1_score_token", "x2"),
-                          ("p2_score_token", "x2"), ("serve_no", "x3")):
-            if getattr(p, fld) is None:
-                raise MissingRequired(feat, t + 1)
-        for fld in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
-                    "p1_net_pt", "p1_net_pt_won", "p1_break_pt", "p1_break_pt_won"):
-            if fld not in p.flags:
-                raise MissingRequired(fld, t + 1)
-
-        s1 = SCORE_ORDINALS[p.p1_score_token]
-        s2 = SCORE_ORDINALS[p.p2_score_token]
-        X[t, 0] = p.p1_games
-        X[t, 1] = s1 - s2
-        X[t, 2] = 1 if p.serve_no == 1 else 0
-        X[t, 3] = 1 if s1 >= s2 else 0
-        X[t, 4] = sets_p1 - sets_p2
-        X[t, 5] = p.flags["p1_ace"]
-        X[t, 6] = p.flags["p1_winner"]
-        X[t, 7] = p.flags["p1_double_fault"]
-        X[t, 8] = p.flags["p1_unf_err"]
-        net_pt += p.flags["p1_net_pt"]
-        net_won += p.flags["p1_net_pt_won"]
-        X[t, 9] = net_won / net_pt if net_pt else 0.0
-        bp += p.flags["p1_break_pt"]
-        bp_won += p.flags["p1_break_pt_won"]
-        X[t, 10] = bp_won / bp if bp else 0.0
-        cum_dist += dist[t]
-        X[t, 11] = cum_dist
-        X[t, 12] = dist[max(0, t - 2):t + 1].sum()
-        X[t, 13] = dist[t]
-        X[t, 14] = speed[t]
-        X[t, 15] = speed[t] * p.serve_no
-
-        if p.set_victor == 1:
-            sets_p1 += 1
-        elif p.set_victor == 2:
-            sets_p2 += 1
+    s1, s2 = p["p1_score_token"], p["p2_score_token"]
+    set_won = (p["set_victor"] == 1).astype(int) - (p["set_victor"] == 2)
+    # two leading zeros: the running and 3-point sums then add in the same
+    # order, from +0.0, as a Python running total and np.sum of a slice
+    padded = np.concatenate(([0.0, 0.0], dist))
+    X = np.column_stack([
+        p["p1_games"],                                          # x1
+        s1 - s2,                                                # x2
+        p["serve_no"] == 1,                                     # x3
+        s1 >= s2,                                               # x4
+        np.cumsum(set_won) - set_won,                           # x5: sets before t
+        p["p1_ace"], p["p1_winner"],                            # x6, x7
+        p["p1_double_fault"], p["p1_unf_err"],                  # x8, x9
+        _running_ratio(p["p1_net_pt_won"], p["p1_net_pt"]),     # x10
+        _running_ratio(p["p1_break_pt_won"], p["p1_break_pt"]), # x11
+        np.cumsum(padded)[2:],                                  # x12
+        0.0 + padded[:-2] + padded[1:-1] + padded[2:],          # x13
+        dist, speed, speed * p["serve_no"],                     # x14..x16
+    ])
+    outcome = (p["point_victor"] == 1).astype(int)
 
     orientation = {
         fid: ("negative" if fid in NEGATIVE_FEATURES else "positive")

@@ -12,7 +12,13 @@ import io
 import numpy as np
 import pytest
 
-from matchpulse.ingest import MatchData, PointRecord, parse_csv, write_points_csv
+from matchpulse.ingest import (
+    DEFAULT_SCHEMA,
+    SCORE_ORDINALS,
+    MatchData,
+    point_table,
+    write_points_csv,
+)
 from matchpulse.synth import GeneratorConfig, gen_momentum
 
 TOKENS = ["0", "15", "30", "40", "AD"]
@@ -96,15 +102,16 @@ def build_match(outcomes, match_id="synthetic-0001", seed=0,
         speed = float(np.round(rng.uniform(150, 220)
                                - 40 * (serve_no - 1), 1))
         dist1 = float(np.round(rng.gamma(3.0, 5.0), 2))
-        points.append(PointRecord(
+        points.append(dict(
             match_id=match_id, point_no=t, point_victor=1 if won else 2,
             set_no=set_no, game_no=game_no,
             p1_games=p1_games, p2_games=p2_games,
-            p1_score_token=tok1, p2_score_token=tok2,
+            p1_score_token=SCORE_ORDINALS[tok1],
+            p2_score_token=SCORE_ORDINALS[tok2],
             server=server, serve_no=serve_no,
             p1_points_won=total1, p2_points_won=total2,
             game_victor=game_victor, set_victor=set_victor,
-            flags={
+            **{
                 "p1_ace": p1_ace, "p2_ace": 0,
                 "p1_winner": p1_winner, "p2_winner": flag(not won),
                 "p1_double_fault": p1_df, "p2_double_fault": 0,
@@ -121,7 +128,8 @@ def build_match(outcomes, match_id="synthetic-0001", seed=0,
             p1_distance_run=dist1,
             p2_distance_run=float(np.round(rng.gamma(3.0, 5.0), 2)),
         ))
-    return MatchData(match_id, points)
+    return MatchData(match_id, point_table(
+        {f: [p.get(f) for p in points] for f in DEFAULT_SCHEMA}))
 
 
 def build_corpus(n_matches=4, T=220, p=0.5, boost=None, seed=0):

@@ -310,3 +310,61 @@ def test_report_equals_individual_commands(csv_path, tmp_path, capsys,
     assert json.loads(report_lines[-1]) == {"command": "report", "out": "out"}
     assert report_files.pop("plot.py")
     assert report_files == artifacts("out")
+
+
+def test_missing_input_file_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "typo.csv")
+    code, _, err = run(capsys, ["momentum", "--input", missing,
+                                "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert err.startswith("error:") and missing in err
+
+
+def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
+    lines = synthetic_csv.splitlines()
+    col = lines[0].split(",").index("ball_speed")
+    cells = lines[3].split(",")
+    cells[col] = ""
+    lines[3] = ",".join(cells)
+    path = tmp_path / "gap.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "ingest")
+    code, _, _ = run(capsys, ["ingest", "--input", str(path), "--out", out])
+    assert code == 0
+    doc = json.loads(open(os.path.join(out, "features.json")).read())
+    assert doc["matches"][0]["imputed"] == {"x15": [2], "x16": [2]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--split", "1.5"],
+    ["train", "--split", "0"],
+    ["test-momentum", "--cap", "0"],
+    ["test-momentum", "--replicates", "0"],
+    ["train", "--swarm", "0"],
+    ["train", "--hidden", "0"],
+    ["evaluate", "--eval-seeds", "0"],
+])
+def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", csv_path, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}:" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line, named", [
+    ("cap=abc", "'cap'"),
+    ("cap=1", "'cap'"),
+    ("scenario=nope", "'scenario'"),
+    ("split=2", "'split'"),
+    ("just text", "bad config line 1"),
+])
+def test_config_bad_value_exits_1(line, named, csv_path, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, ["--config", str(cfg), "momentum",
+                                "--input", csv_path,
+                                "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert err.startswith("error:") and named in err

@@ -94,7 +94,8 @@ def test_csv_roundtrip_through_parser():
     seqs = gen_null(T=30, matches=3, seed=6)
     buf = io.StringIO()
     sequences_to_csv(seqs, buf, match_prefix="m")
-    matches = parse_csv(buf.getvalue())
+    buf.seek(0)
+    matches = parse_csv(buf)
     assert [m.match_id for m in matches] == ["m-0001", "m-0002", "m-0003"]
     for m, seq in zip(matches, seqs):
         assert np.array_equal(m.outcomes(), seq)
