@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from .model import (
     stratified_split,
     train_bp_pso,
 )
-from .stats import classification_metrics, roc_auc, stepwise_select
+from .stats import classification_metrics, stepwise_select
 
 PLOT_STUB = """\
 # Minimal plotting helper for the CSV artifacts in this directory.
@@ -131,16 +132,25 @@ class Run:
         return pipeline.pick_match(self.matches, self.args.match_id)
 
     @cached_property
+    def frame(self):
+        """Derived features of the picked match: taken from `frames` when
+        every match is derived anyway, else derived alone."""
+        match = self.match      # a bad --match-id fails before any derive
+        if "frames" in vars(self) or self.args.pooled_weights:
+            return next(f for m, f in zip(self.matches, self.frames)
+                        if m is match)
+        return ingest.derive_features(match)
+
+    @cached_property
     def momentum(self):
         """Entropy weights and M_t of the picked match."""
-        # pick first, so a bad --match-id fails before any frame is derived
-        match, args = self.match, self.args
+        frame, args = self.frame, self.args
         weights = None
         if args.pooled_weights:
             weights = ewm.pooled_entropy_weights(
                 [ingest.standardize(f, self.features) for f in self.frames],
                 epsilon=args.epsilon)
-        return pipeline.analyze_momentum(match, self.features,
+        return pipeline.analyze_momentum(frame, self.features,
                                          epsilon=args.epsilon, weights=weights)
 
     @cached_property
@@ -374,6 +384,9 @@ def _checked(kind, ok, rule):
 
 
 _POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_REAL = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                          "finite and > 0")
 _CAP = _checked(int, lambda v: v >= 2, ">= 2")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "between 0 and 1")
 
@@ -437,17 +450,17 @@ def build_parser():
         p.add_argument("--features",
                        default=",".join(pipeline.DEFAULT_BASE_FEATURES),
                        help="comma-separated feature ids for the momentum composite")
-        p.add_argument("--epsilon", type=float, default=ewm.DEFAULT_EPSILON,
-                       help="entropy log offset")
+        p.add_argument("--epsilon", type=_POSITIVE_REAL,
+                       default=ewm.DEFAULT_EPSILON, help="entropy log offset")
         p.add_argument("--pooled-weights", action="store_true",
                        help="compute entropy weights across all matches")
 
     def add_cusum_opts(p):
         p.add_argument("--drift", type=float, default=None,
                        help="CUSUM drift d (default 0.05 * stdev(M))")
-        p.add_argument("--threshold", type=float, default=None,
+        p.add_argument("--threshold", type=_POSITIVE_REAL, default=None,
                        help="CUSUM threshold h (or tuner starting point)")
-        p.add_argument("--target-changepoints", type=int, default=None,
+        p.add_argument("--target-changepoints", type=_POSITIVE, default=None,
                        help="tune h toward this change-point count")
 
     def add_model_opts(p):
@@ -459,9 +472,9 @@ def build_parser():
                        help="hidden layer width")
         p.add_argument("--swarm", type=_POSITIVE, default=30,
                        help="PSO swarm size")
-        p.add_argument("--pso-iterations", type=int, default=100)
-        p.add_argument("--learning-rate", type=float, default=0.05)
-        p.add_argument("--epochs", type=int, default=500,
+        p.add_argument("--pso-iterations", type=_NON_NEGATIVE, default=100)
+        p.add_argument("--learning-rate", type=_POSITIVE_REAL, default=0.05)
+        p.add_argument("--epochs", type=_NON_NEGATIVE, default=500,
                        help="gradient-descent epochs after PSO")
 
     p = add("ingest", cmd_ingest, help="parse a CSV and emit derived features")
@@ -515,15 +528,15 @@ def build_parser():
     add_cusum_opts(p)
     add_model_opts(p)
     p.add_argument("--model", required=True, help="model.json from `train`")
-    p.add_argument("--background", type=int, default=100,
+    p.add_argument("--background", type=_POSITIVE, default=100,
                    help="background sample size")
-    p.add_argument("--shap-points", type=int, default=20,
+    p.add_argument("--shap-points", type=_POSITIVE, default=20,
                    help="number of test instances to attribute")
 
     p = add("synth", cmd_synth, help="generate synthetic point sequences")
-    p.add_argument("--matches", type=int, default=31)
-    p.add_argument("--points", type=int, default=235)
-    p.add_argument("--p", type=float, default=0.5, help="base win probability")
+    p.add_argument("--matches", type=_POSITIVE, default=31)
+    p.add_argument("--points", type=_POSITIVE, default=235)
+    p.add_argument("--p", type=_FRACTION, default=0.5, help="base win probability")
     p.add_argument("--boost", type=float, default=0.0,
                    help="streak win-probability boost (0 = null process)")
 
@@ -535,8 +548,8 @@ def build_parser():
     add_momentum_opts(p)
     add_cusum_opts(p)
     add_model_opts(p)
-    p.add_argument("--background", type=int, default=100)
-    p.add_argument("--shap-points", type=int, default=20)
+    p.add_argument("--background", type=_POSITIVE, default=100)
+    p.add_argument("--shap-points", type=_POSITIVE, default=20)
 
     return parser
 

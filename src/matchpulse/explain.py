@@ -16,6 +16,7 @@ import numpy as np
 from .errors import EmptyBackground, TooManyFeatures
 
 MAX_FEATURES = 15
+BLOCK_ROWS = 2048       # stacked rows per `predict` call
 
 
 @dataclass
@@ -46,16 +47,26 @@ class ShapReport:
 
 
 def _subset_values(predict, instance, cfg: ShapConfig):
-    """Mean prediction for every subset of features held at instance values."""
+    """Mean prediction for every subset of features held at instance values.
+
+    Coalitions are scored in blocks of about BLOCK_ROWS stacked rows, one
+    `predict` call per block.
+    """
     bg = cfg.background
     n_features = len(instance)
+    subsets = [subset for size in range(n_features + 1)
+               for subset in combinations(range(n_features), size)]
+    mask = np.zeros((len(subsets), n_features), dtype=bool)
+    for row, subset in enumerate(subsets):
+        mask[row, list(subset)] = True
+    per_block = max(1, BLOCK_ROWS // len(bg))
     values = {}
-    for size in range(n_features + 1):
-        for subset in combinations(range(n_features), size):
-            rows = bg.copy()
-            for j in subset:
-                rows[:, j] = instance[j]
-            values[subset] = float(np.mean(predict(rows)))
+    for start in range(0, len(subsets), per_block):
+        block = mask[start:start + per_block]
+        rows = np.where(block[:, None, :], instance, bg)
+        preds = np.asarray(predict(rows.reshape(-1, n_features)))
+        means = preds.reshape(len(block), len(bg)).mean(axis=1)
+        values.update(zip(subsets[start:start + per_block], means.tolist()))
     return values
 
 

@@ -126,60 +126,88 @@ class TrainedNet:
 
 
 def _unflatten(config: NetConfig, params):
+    """Per-layer (w, b) views of flat params.
+
+    Stacked `(k, P)` params give `(k, d_in, d_out)` weights and
+    `(k, 1, d_out)` biases, which broadcast over a `(k, n, d_in)` batch.
+    """
     dims = config.layer_dims()
+    lead = params.shape[:-1]
     layers = []
     pos = 0
     for i in range(len(dims) - 1):
-        w = params[pos:pos + dims[i] * dims[i + 1]].reshape(dims[i], dims[i + 1])
+        w = params[..., pos:pos + dims[i] * dims[i + 1]].reshape(
+            lead + (dims[i], dims[i + 1]))
         pos += dims[i] * dims[i + 1]
-        b = params[pos:pos + dims[i + 1]]
+        b = params[..., pos:pos + dims[i + 1]]
+        if lead:
+            b = b.reshape(lead + (1, dims[i + 1]))
         pos += dims[i + 1]
         layers.append((w, b))
     return layers
 
 
-def forward(config: NetConfig, params, X):
-    """Network output probability for each row of X (or a single vector)."""
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    a = np.atleast_2d(X)
-    if a.shape[1] != config.input_dim:
-        raise DimMismatch(f"expected {config.input_dim} inputs, got {a.shape[1]}")
-    layers = _unflatten(config, np.asarray(params, dtype=float))
-    for w, b in layers[:-1]:
-        a = np.tanh(a @ w + b)
-    w, b = layers[-1]
-    out = 1.0 / (1.0 + np.exp(-np.clip(a @ w + b, -500, 500)))
-    out = out[:, 0]
-    return float(out[0]) if single else out
+def _layer_outputs(config: NetConfig, params, X):
+    """(layers, [X, hidden activations...], output probabilities) of one
+    forward pass.
 
-
-def bce_loss(config, params, X, y):
-    p = np.clip(forward(config, params, np.atleast_2d(X)), 1e-12, 1 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-
-
-def gradient(config: NetConfig, params, X, y):
-    """Exact gradient of mean binary cross-entropy w.r.t. flat params."""
+    Each layer is one broadcast `matmul`, so stacked params score every
+    parameter vector in one call, bit for bit as `k` separate calls would.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
     if X.shape[1] != config.input_dim:
         raise DimMismatch(f"expected {config.input_dim} inputs, got {X.shape[1]}")
-    y = np.asarray(y, dtype=float)
     layers = _unflatten(config, np.asarray(params, dtype=float))
-    n = X.shape[0]
-
     activations = [X]
     a = X
     for w, b in layers[:-1]:
-        a = np.tanh(a @ w + b)
+        a = a @ w
+        a += b
+        np.tanh(a, out=a)
         activations.append(a)
     w, b = layers[-1]
-    p = 1.0 / (1.0 + np.exp(-np.clip(a @ w + b, -500, 500)))
+    z = a @ w
+    z += b
+    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500, out=z)))
+    return layers, activations, p[..., 0]
+
+
+def forward(config: NetConfig, params, X):
+    """Network output probability for each row of X (or a single vector).
+
+    `(k, P)` params give a `(k, n)` result, one row per parameter vector.
+    """
+    single = np.ndim(X) == 1
+    out = _layer_outputs(config, params, X)[2]
+    if single:
+        out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
+    return out
+
+
+def _bce(p, y):
+    p = np.clip(p, 1e-12, 1 - 1e-12)
+    loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def bce_loss(config, params, X, y):
+    """Mean binary cross-entropy; `(k, P)` params give `k` losses."""
+    return _bce(forward(config, params, np.atleast_2d(X)), y)
+
+
+def loss_and_gradient(config: NetConfig, params, X, y):
+    """Mean binary cross-entropy and its exact gradient w.r.t. flat params,
+    both from one forward pass."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    y = np.asarray(y, dtype=float)
+    layers, activations, p = _layer_outputs(config, params, X)
+    n = X.shape[0]
 
     # BCE with sigmoid output: delta at the output pre-activation is (p - y)/n
-    delta = (p - y[:, None]) / n
+    delta = (p - y)[:, None] / n
     grads = []
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
@@ -189,15 +217,23 @@ def gradient(config: NetConfig, params, X, y):
         if i > 0:
             delta = (delta @ w.T) * (1.0 - activations[i] ** 2)
     grads.reverse()
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return _bce(p, y), grad
+
+
+def gradient(config: NetConfig, params, X, y):
+    """Exact gradient of mean binary cross-entropy w.r.t. flat params."""
+    return loss_and_gradient(config, params, X, y)[1]
 
 
 def pso_optimize(objective, dim, cfg: PsoConfig):
     """Global-best PSO over a box; returns (best position, value, trace).
 
+    `objective` maps the `(swarm, dim)` positions to `swarm` scores and is
+    called once per iteration; a non-finite score counts as +inf fitness.
     Fresh uniform r1/r2 are drawn per particle, iteration, and dimension;
-    positions clip to the box and velocities to the clamp. Objective
-    failures count as +inf fitness. Deterministic per seed.
+    positions clip to the box and velocities to the clamp. Deterministic
+    per seed.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -206,14 +242,14 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
     pos = rng.uniform(lo, hi, size=(cfg.swarm, dim))
     vel = rng.uniform(-cfg.velocity_clamp, cfg.velocity_clamp, size=(cfg.swarm, dim))
 
-    def safe_eval(x):
-        try:
-            v = objective(x)
-            return v if np.isfinite(v) else np.inf
-        except Exception:
-            return np.inf
+    def score(positions):
+        fitness = np.asarray(objective(positions), dtype=float)
+        if fitness.shape != (cfg.swarm,):
+            raise ValueError(f"objective returned shape {fitness.shape}, "
+                             f"expected ({cfg.swarm},)")
+        return np.where(np.isfinite(fitness), fitness, np.inf)
 
-    fitness = np.array([safe_eval(p) for p in pos])
+    fitness = score(pos)
     p_best = pos.copy()
     p_best_val = fitness.copy()
     g_idx = int(np.argmin(fitness))
@@ -229,7 +265,7 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
                + cfg.social * r2 * (g_best - pos))
         vel = np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp)
         pos = np.clip(pos + vel, lo, hi)
-        fitness = np.array([safe_eval(p) for p in pos])
+        fitness = score(pos)
         better = fitness < p_best_val
         p_best[better] = pos[better]
         p_best_val[better] = fitness[better]
@@ -260,8 +296,8 @@ def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
     scaler = MinMaxScaler.fit(X)
     Z = scaler.transform(X, clip=False)
 
-    def objective(params):
-        return bce_loss(net_cfg, params, Z, y)
+    def objective(swarm):
+        return bce_loss(net_cfg, swarm, Z, y)
 
     best, best_val, pso_trace = pso_optimize(objective, net_cfg.n_params(), pso_cfg)
     if not np.isfinite(best_val):
@@ -270,9 +306,11 @@ def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
     params = best.copy()
     best_params, best_loss = params.copy(), best_val
     bp_trace = []
+    grad = gradient(net_cfg, params, Z, y) if bp_cfg.epochs else None
     for _ in range(bp_cfg.epochs):
-        params = params - bp_cfg.learning_rate * gradient(net_cfg, params, Z, y)
-        loss = bce_loss(net_cfg, params, Z, y)
+        params = params - bp_cfg.learning_rate * grad
+        # the loss of this step's params, and the next step's gradient
+        loss, grad = loss_and_gradient(net_cfg, params, Z, y)
         if not np.isfinite(loss):
             raise NonFiniteLoss("gradient descent diverged")
         bp_trace.append(loss)

@@ -48,13 +48,13 @@ class MatchAnalysis:
     tuner_converged: bool | None = None
 
 
-def analyze_momentum(match, features=None, epsilon=ewm.DEFAULT_EPSILON,
-                     weights=None) -> MatchAnalysis:
+def analyze_momentum(frame: ingest.FeatureFrame, features=None,
+                     epsilon=ewm.DEFAULT_EPSILON, weights=None) -> MatchAnalysis:
+    """Entropy weights and M_t of one match's derived features."""
     features = features or DEFAULT_BASE_FEATURES
-    frame = ingest.derive_features(match)
     z = ingest.standardize(frame, features)
     w = weights or ewm.entropy_weights(z, epsilon)
-    series = ewm.momentum_series(z, w, match.match_id)
+    series = ewm.momentum_series(z, w, frame.match_id)
     return MatchAnalysis(frame, z, w, series)
 
 

@@ -18,7 +18,8 @@ import pytest
 from scipy.stats import chi2, chi2_contingency
 
 from conftest import build_match
-from matchpulse import changepoint, ewm, pipeline, shift, stats, streaks, synth
+from matchpulse import (
+    changepoint, ewm, ingest, pipeline, shift, stats, streaks, synth)
 from matchpulse.cli import main as cli_main
 from matchpulse.explain import ShapConfig, shapley_values
 from matchpulse.model import (
@@ -255,7 +256,7 @@ def test_criterion_09_gradient_check():
 
 
 def test_criterion_10_pso_sphere():
-    sphere = lambda x: float(np.sum(x ** 2))
+    sphere = lambda P: np.sum(P ** 2, axis=1)
     solved = 0
     for seed in range(20):
         _, val, trace = pso_optimize(
@@ -302,7 +303,7 @@ def test_criterion_12_scenario_auc_trend():
         p=0.5, T=320, matches=1, seed=4, boost=boost))[0]
     match = build_match(seq, match_id="trend", seed=4)
 
-    analysis = pipeline.analyze_momentum(match)
+    analysis = pipeline.analyze_momentum(ingest.derive_features(match))
     analysis = pipeline.detect_changepoints(analysis, target=10)
     X, names, y = pipeline.scenario_inputs(analysis)
     col_map = pipeline.scenario_column_map(names)

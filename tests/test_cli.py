@@ -343,6 +343,23 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     ["train", "--swarm", "0"],
     ["train", "--hidden", "0"],
     ["evaluate", "--eval-seeds", "0"],
+    ["train", "--epochs", "-1"],
+    ["train", "--pso-iterations", "-1"],
+    ["train", "--learning-rate", "-5"],
+    ["train", "--learning-rate", "0"],
+    ["evaluate", "--learning-rate", "nan"],
+    ["evaluate", "--learning-rate", "inf"],
+    ["shap", "--background", "0"],
+    ["shap", "--shap-points", "0"],
+    ["shap", "--shap-points", "-3"],
+    ["report", "--background", "0"],
+    ["report", "--shap-points", "0"],
+    ["changepoints", "--target-changepoints", "0"],
+    ["changepoints", "--threshold", "-1"],
+    ["momentum", "--epsilon", "-1"],
+    ["synth", "--points", "0"],
+    ["synth", "--matches", "0"],
+    ["synth", "--p", "1"],
 ])
 def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from matchpulse import explain
 from matchpulse.errors import EmptyBackground, TooManyFeatures
 from matchpulse.explain import (
     ShapConfig,
     mean_abs_shap,
     shapley_values,
 )
+from matchpulse.model import MinMaxScaler, NetConfig, TrainedNet
 
 
 def linear_predict(w, b):
@@ -143,3 +145,65 @@ def test_mean_abs_ranking_and_ties():
 def test_mean_abs_empty_raises():
     with pytest.raises(ValueError):
         mean_abs_shap([])
+
+
+def reference_shapley(predict, x, bg):
+    """One `predict` call per coalition: the loop that blocked scoring
+    replaced, kept as a bit-for-bit oracle. Returns (phi, base, prediction)."""
+    F = len(x)
+    values = {}
+    for size in range(F + 1):
+        for subset in itertools.combinations(range(F), size):
+            rows = bg.copy()
+            for j in subset:
+                rows[:, j] = x[j]
+            values[subset] = float(np.mean(predict(rows)))
+    fact = [math.factorial(k) for k in range(F + 1)]
+    phi = np.zeros(F)
+    for i in range(F):
+        rest = [j for j in range(F) if j != i]
+        for size in range(F):
+            weight = fact[size] * fact[F - size - 1] / fact[F]
+            for subset in itertools.combinations(rest, size):
+                with_i = tuple(sorted(subset + (i,)))
+                phi[i] += weight * (values[with_i] - values[subset])
+    return phi, values[()], values[tuple(range(F))]
+
+
+@pytest.mark.parametrize("F, B", [(9, 100), (4, 12), (4, 7),
+                                  (3, explain.BLOCK_ROWS + 1)])
+def test_blocked_scoring_equals_per_coalition_loop(F, B):
+    # (9, 100): 512 coalitions in blocks of 20, and 100 does not divide
+    # BLOCK_ROWS; (3, BLOCK_ROWS + 1): one coalition per block.
+    # OpenBLAS's dgemv, which scores the output layer, takes rows in groups
+    # of four and the leftover rows through another kernel, so a row's
+    # score can move in the last bit with its offset in the call. When B is
+    # a multiple of four, or a block holds one coalition, every row keeps
+    # its offset and the result is bit for bit the loop's; otherwise the
+    # values may differ by an ulp.
+    exact = B % 4 == 0 or B > explain.BLOCK_ROWS // 2
+    rng = np.random.default_rng(F * 1000 + B)
+    cfg = NetConfig(F, (8,))
+    X = rng.standard_normal((B + 5, F)) * 3.0
+    net = TrainedNet(cfg, rng.standard_normal(cfg.n_params()),
+                     MinMaxScaler.fit(X))
+    calls = []
+
+    def predict(rows):
+        calls.append(len(rows))
+        return net.predict_proba(rows)
+
+    for x in X[B:B + 2]:
+        calls.clear()
+        report = shapley_values(predict, x, ShapConfig(X[:B]))
+        phi, base, prediction = reference_shapley(net.predict_proba, x, X[:B])
+        if exact:
+            assert np.array_equal(report.phi, phi)
+            assert report.base_value == base and report.prediction == prediction
+        else:
+            assert np.allclose(report.phi, phi, rtol=0, atol=1e-15)
+            assert report.base_value == pytest.approx(base, rel=1e-15)
+            assert report.prediction == pytest.approx(prediction, rel=1e-15)
+        assert sum(calls) == 2 ** F * B
+        per_block = max(1, explain.BLOCK_ROWS // B)
+        assert len(calls) == -(-2 ** F // per_block)

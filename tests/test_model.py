@@ -14,6 +14,7 @@ from matchpulse.model import (
     bce_loss,
     forward,
     gradient,
+    loss_and_gradient,
     pso_optimize,
     scenario_matrix,
     stratified_split,
@@ -107,8 +108,8 @@ def test_scaler_constant_column_maps_to_zero():
     assert z[0, 1] == pytest.approx(0.5)
 
 
-def sphere(x):
-    return float(np.sum(x ** 2))
+def sphere(P):
+    return np.sum(P ** 2, axis=1)
 
 
 def test_pso_solves_sphere():
@@ -132,18 +133,189 @@ def test_pso_deterministic_per_seed():
 
 def test_pso_respects_bounds():
     cfg = PsoConfig(iterations=20, bound=0.7, seed=1)
-    best, _, _ = pso_optimize(lambda x: -float(np.sum(x)), 3, cfg)
+    best, _, _ = pso_optimize(lambda P: -np.sum(P, axis=1), 3, cfg)
     assert np.all(np.abs(best) <= 0.7 + 1e-12)
 
 
 def test_pso_objective_failures_become_inf():
-    def sometimes_bad(x):
-        if x[0] > 0:
-            raise RuntimeError("boom")
-        return sphere(x)
+    def sometimes_bad(P):
+        return np.where(P[:, 0] > 0, np.nan, sphere(P))
     best, val, _ = pso_optimize(sometimes_bad, 2, PsoConfig(iterations=30, seed=2))
     assert np.isfinite(val)
     assert best[0] <= 0
+
+
+def test_pso_objective_exception_propagates():
+    def broken(P):
+        raise RuntimeError("boom")
+    with pytest.raises(RuntimeError, match="boom"):
+        pso_optimize(broken, 2, PsoConfig(iterations=3, seed=0))
+
+
+def test_pso_scores_whole_swarm_once_per_iteration():
+    shapes = []
+
+    def record(P):
+        shapes.append(P.shape)
+        return sphere(P)
+    pso_optimize(record, 4, PsoConfig(swarm=7, iterations=5, seed=0))
+    assert shapes == [(7, 4)] * 6
+    with pytest.raises(ValueError):
+        pso_optimize(lambda P: sphere(P)[:-1], 4, PsoConfig(swarm=7, seed=0))
+
+
+# ------------------------------------------- per-particle reference loops
+# The model scores a whole swarm, and a backprop epoch, with one forward
+# pass. These are the loops it replaced, kept as bit-for-bit oracles.
+
+def reference_layers(config, params):
+    dims = config.layer_dims()
+    layers, pos = [], 0
+    for i in range(len(dims) - 1):
+        w = params[pos:pos + dims[i] * dims[i + 1]].reshape(dims[i], dims[i + 1])
+        pos += dims[i] * dims[i + 1]
+        layers.append((w, params[pos:pos + dims[i + 1]]))
+        pos += dims[i + 1]
+    return layers
+
+
+def reference_forward(config, params, X):
+    a = X
+    layers = reference_layers(config, params)
+    for w, b in layers[:-1]:
+        a = np.tanh(a @ w + b)
+    w, b = layers[-1]
+    return (1.0 / (1.0 + np.exp(-np.clip(a @ w + b, -500, 500))))[:, 0]
+
+
+def reference_bce_loss(config, params, X, y):
+    p = np.clip(reference_forward(config, params, X), 1e-12, 1 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
+def reference_gradient(config, params, X, y):
+    layers = reference_layers(config, params)
+    activations = [X]
+    a = X
+    for w, b in layers[:-1]:
+        a = np.tanh(a @ w + b)
+        activations.append(a)
+    w, b = layers[-1]
+    p = 1.0 / (1.0 + np.exp(-np.clip(a @ w + b, -500, 500)))
+    delta = (p - y[:, None]) / X.shape[0]
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
+        grads.append((activations[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ w.T) * (1.0 - activations[i] ** 2)
+    grads.reverse()
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+
+
+def reference_pso(objective, dim, cfg):
+    """One scalar objective call per particle; failures count as +inf."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = -cfg.bound, cfg.bound
+    pos = rng.uniform(lo, hi, size=(cfg.swarm, dim))
+    vel = rng.uniform(-cfg.velocity_clamp, cfg.velocity_clamp, size=(cfg.swarm, dim))
+
+    def safe_eval(x):
+        try:
+            v = objective(x)
+            return v if np.isfinite(v) else np.inf
+        except Exception:
+            return np.inf
+
+    fitness = np.array([safe_eval(p) for p in pos])
+    p_best, p_best_val = pos.copy(), fitness.copy()
+    g_idx = int(np.argmin(fitness))
+    g_best, g_best_val = pos[g_idx].copy(), float(fitness[g_idx])
+    trace = [g_best_val]
+    for _ in range(cfg.iterations):
+        r1 = rng.random((cfg.swarm, dim))
+        r2 = rng.random((cfg.swarm, dim))
+        vel = (cfg.inertia * vel
+               + cfg.cognitive * r1 * (p_best - pos)
+               + cfg.social * r2 * (g_best - pos))
+        vel = np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp)
+        pos = np.clip(pos + vel, lo, hi)
+        fitness = np.array([safe_eval(p) for p in pos])
+        better = fitness < p_best_val
+        p_best[better] = pos[better]
+        p_best_val[better] = fitness[better]
+        i = int(np.argmin(p_best_val))
+        if p_best_val[i] < g_best_val:
+            g_best_val = float(p_best_val[i])
+            g_best = p_best[i].copy()
+        trace.append(g_best_val)
+    return g_best, g_best_val, trace
+
+
+def reference_train(X, y, net_cfg, pso_cfg, bp_cfg):
+    """Per-particle PSO, then two calls (gradient, loss) per epoch."""
+    Z = MinMaxScaler.fit(X).transform(X, clip=False)
+    best, best_val, pso_trace = reference_pso(
+        lambda p: reference_bce_loss(net_cfg, p, Z, y), net_cfg.n_params(),
+        pso_cfg)
+    params = best.copy()
+    best_params, best_loss = params.copy(), best_val
+    bp_trace = []
+    for _ in range(bp_cfg.epochs):
+        params = params - bp_cfg.learning_rate * reference_gradient(
+            net_cfg, params, Z, y)
+        loss = reference_bce_loss(net_cfg, params, Z, y)
+        bp_trace.append(loss)
+        if loss < best_loss:
+            best_loss, best_params = loss, params.copy()
+    return best_params, pso_trace, bp_trace, best_loss
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+def test_train_equals_per_particle_reference(hidden):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((90, 5)) * [1.0, 3.0, 0.1, 10.0, 1.0]
+    y = (X[:, 0] + 0.2 * X[:, 3] + rng.standard_normal(90) > 0).astype(float)
+    net_cfg = NetConfig(5, hidden)
+    pso_cfg = PsoConfig(swarm=12, iterations=25, seed=12)
+    bp_cfg = BpConfig(learning_rate=0.2, epochs=40)
+    net = train_bp_pso(X, y, net_cfg, pso_cfg, bp_cfg, seed=12)
+    params, pso_trace, bp_trace, final_loss = reference_train(
+        X, y, net_cfg, pso_cfg, bp_cfg)
+    assert np.array_equal(net.params, params)
+    assert net.history["pso_best"] == pso_trace
+    assert net.history["bp_loss"] == bp_trace
+    assert net.history["final_loss"] == final_loss
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3), (1,)])
+def test_forward_stacked_params_equal_row_by_row(hidden):
+    rng = np.random.default_rng(13)
+    cfg = NetConfig(4, hidden)
+    P = rng.standard_normal((6, cfg.n_params()))
+    X = rng.standard_normal((50, 4))
+    y = rng.integers(0, 2, size=50).astype(float)
+    stacked = forward(cfg, P, X)
+    assert stacked.shape == (6, 50)
+    for k in range(6):
+        assert np.array_equal(stacked[k], forward(cfg, P[k], X))
+        assert np.array_equal(stacked[k], reference_forward(cfg, P[k], X))
+    losses = bce_loss(cfg, P, X, y)
+    assert losses.tolist() == [bce_loss(cfg, p, X, y) for p in P]
+    assert forward(cfg, P, X[0]).tolist() == [forward(cfg, p, X[0]) for p in P]
+
+
+def test_loss_and_gradient_equal_separate_calls():
+    rng = np.random.default_rng(14)
+    for hidden in [(8,), (4, 3)]:
+        cfg = NetConfig(3, hidden)
+        params = rng.standard_normal(cfg.n_params())
+        X = rng.standard_normal((40, 3))
+        y = rng.integers(0, 2, size=40).astype(float)
+        loss, grad = loss_and_gradient(cfg, params, X, y)
+        assert loss == bce_loss(cfg, params, X, y)
+        assert loss == reference_bce_loss(cfg, params, X, y)
+        assert np.array_equal(grad, reference_gradient(cfg, params, X, y))
 
 
 def xor_data():
@@ -176,6 +348,16 @@ def test_train_deterministic_per_seed():
     n1 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=5)
     n2 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=5)
     assert np.array_equal(n1.params, n2.params)
+
+
+def test_train_without_epochs_keeps_pso_best():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 2))
+    y = (X[:, 0] > 0).astype(float)
+    net = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO,
+                       BpConfig(epochs=0), seed=8)
+    assert net.history["bp_loss"] == []
+    assert net.history["final_loss"] == net.history["pso_best"][-1]
 
 
 def test_train_single_class_raises():
