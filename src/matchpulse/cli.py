@@ -27,6 +27,7 @@ from .model import (
     NetConfig,
     PsoConfig,
     TrainedNet,
+    forward,
     scenario_matrix,
     stratified_split,
     train_bp_pso,
@@ -124,10 +125,6 @@ class Run:
         return [ingest.derive_features(m) for m in self.matches]
 
     @cached_property
-    def features(self):
-        return [f.strip() for f in self.args.features.split(",") if f.strip()]
-
-    @cached_property
     def match(self):
         return pipeline.pick_match(self.matches, self.args.match_id)
 
@@ -148,9 +145,9 @@ class Run:
         weights = None
         if args.pooled_weights:
             weights = ewm.pooled_entropy_weights(
-                [ingest.standardize(f, self.features) for f in self.frames],
+                [ingest.standardize(f, self.args.features) for f in self.frames],
                 epsilon=args.epsilon)
-        return pipeline.analyze_momentum(frame, self.features,
+        return pipeline.analyze_momentum(frame, self.args.features,
                                          epsilon=args.epsilon, weights=weights)
 
     @cached_property
@@ -164,8 +161,8 @@ class Run:
     @cached_property
     def scenario(self):
         """(X, column names, y, scenario id -> column indices)."""
-        X, names, y = pipeline.scenario_inputs(self.analysis, self.features)
-        return X, names, y, pipeline.scenario_column_map(names, self.features)
+        X, names, y = pipeline.scenario_inputs(self.analysis, self.args.features)
+        return X, names, y, pipeline.scenario_column_map(names, self.args.features)
 
 
 def cmd_ingest(args, run):
@@ -324,10 +321,13 @@ def cmd_shap(args, run):
     rng = np.random.default_rng(args.seed)
     bg_idx = rng.choice(train_idx, size=min(args.background, len(train_idx)),
                         replace=False)
-    cfg = ShapConfig(X[np.ix_(bg_idx, cols)])
+    # the scaler works cell by cell, so the background and each instance
+    # are scaled once instead of every stacked coalition row
+    cfg = ShapConfig(net.scaler.transform(X[np.ix_(bg_idx, cols)]))
     sample = test_idx[:args.shap_points]
     reports = [
-        shapley_values(net.predict_proba, X[i, cols], cfg, col_names)
+        shapley_values(lambda rows: forward(net.config, net.params, rows),
+                       net.scaler.transform(X[i, cols])[0], cfg, col_names)
         for i in sample
     ]
     ranking = mean_abs_shap(reports)
@@ -389,6 +389,16 @@ _POSITIVE_REAL = _checked(float, lambda v: math.isfinite(v) and v > 0,
                           "finite and > 0")
 _CAP = _checked(int, lambda v: v >= 2, ">= 2")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "between 0 and 1")
+_DRIFT = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+
+
+def _feature_list(text):
+    """argparse type: a non-empty comma-separated list of feature ids."""
+    ids = [f.strip() for f in text.split(",") if f.strip()]
+    if not ids:
+        raise argparse.ArgumentTypeError(
+            f"must name at least one feature id, got {text!r}")
+    return ids
 
 
 class _Command(argparse.ArgumentParser):
@@ -447,7 +457,7 @@ def build_parser():
                        help="match to analyze (default: first in file)")
 
     def add_momentum_opts(p):
-        p.add_argument("--features",
+        p.add_argument("--features", type=_feature_list,
                        default=",".join(pipeline.DEFAULT_BASE_FEATURES),
                        help="comma-separated feature ids for the momentum composite")
         p.add_argument("--epsilon", type=_POSITIVE_REAL,
@@ -456,7 +466,7 @@ def build_parser():
                        help="compute entropy weights across all matches")
 
     def add_cusum_opts(p):
-        p.add_argument("--drift", type=float, default=None,
+        p.add_argument("--drift", type=_DRIFT, default=None,
                        help="CUSUM drift d (default 0.05 * stdev(M))")
         p.add_argument("--threshold", type=_POSITIVE_REAL, default=None,
                        help="CUSUM threshold h (or tuner starting point)")

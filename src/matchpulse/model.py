@@ -8,6 +8,7 @@ compares the four input layers (Base, +M, +CP, +V) over shared splits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -126,38 +127,41 @@ class TrainedNet:
 
 
 def _unflatten(config: NetConfig, params):
-    """Per-layer (w, b) views of flat params.
+    """Per-layer (w, b) views of flat params: `(d_in, d_out)` weights and
+    `(1, d_out)` biases.
 
     Stacked `(k, P)` params give `(k, d_in, d_out)` weights and
     `(k, 1, d_out)` biases, which broadcast over a `(k, n, d_in)` batch.
+    The views share memory with C-contiguous params, so writing into them
+    writes the flat vector.
     """
     dims = config.layer_dims()
     lead = params.shape[:-1]
     layers = []
     pos = 0
-    for i in range(len(dims) - 1):
-        w = params[..., pos:pos + dims[i] * dims[i + 1]].reshape(
-            lead + (dims[i], dims[i + 1]))
-        pos += dims[i] * dims[i + 1]
-        b = params[..., pos:pos + dims[i + 1]]
-        if lead:
-            b = b.reshape(lead + (1, dims[i + 1]))
-        pos += dims[i + 1]
+    for d_in, d_out in zip(dims, dims[1:]):
+        w = params[..., pos:pos + d_in * d_out].reshape(lead + (d_in, d_out))
+        pos += d_in * d_out
+        b = params[..., pos:pos + d_out].reshape(lead + (1, d_out))
+        pos += d_out
         layers.append((w, b))
     return layers
 
 
-def _layer_outputs(config: NetConfig, params, X):
-    """(layers, [X, hidden activations...], output probabilities) of one
-    forward pass.
+def _rows(config: NetConfig, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[-1] != config.input_dim:
+        raise DimMismatch(f"expected {config.input_dim} inputs, got {X.shape[-1]}")
+    return X
+
+
+def _layer_outputs(layers, X):
+    """([X, hidden activations...], output probabilities) of one forward
+    pass through `_unflatten` layers.
 
     Each layer is one broadcast `matmul`, so stacked params score every
     parameter vector in one call, bit for bit as `k` separate calls would.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != config.input_dim:
-        raise DimMismatch(f"expected {config.input_dim} inputs, got {X.shape[1]}")
-    layers = _unflatten(config, np.asarray(params, dtype=float))
     activations = [X]
     a = X
     for w, b in layers[:-1]:
@@ -169,7 +173,7 @@ def _layer_outputs(config: NetConfig, params, X):
     z = a @ w
     z += b
     p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500, out=z)))
-    return layers, activations, p[..., 0]
+    return activations, p[..., 0]
 
 
 def forward(config: NetConfig, params, X):
@@ -178,7 +182,8 @@ def forward(config: NetConfig, params, X):
     `(k, P)` params give a `(k, n)` result, one row per parameter vector.
     """
     single = np.ndim(X) == 1
-    out = _layer_outputs(config, params, X)[2]
+    layers = _unflatten(config, np.asarray(params, dtype=float))
+    out = _layer_outputs(layers, _rows(config, X))[1]
     if single:
         out = out[..., 0]
         return float(out) if out.ndim == 0 else out
@@ -187,7 +192,8 @@ def forward(config: NetConfig, params, X):
 
 def _bce(p, y):
     p = np.clip(p, 1e-12, 1 - 1e-12)
-    loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=-1)
+    # the sum over n, then / n: what np.mean does, without its wrapper
+    loss = -(y * np.log(p) + (1 - y) * np.log(1 - p)).sum(axis=-1) / p.shape[-1]
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -196,29 +202,38 @@ def bce_loss(config, params, X, y):
     return _bce(forward(config, params, np.atleast_2d(X)), y)
 
 
+def _backprop(layers, grad_layers, X, y):
+    """BCE of one forward pass through `layers`; its gradient is written
+    into `grad_layers`, the `_unflatten` views of a gradient buffer."""
+    activations, p = _layer_outputs(layers, X)
+    # BCE with sigmoid output: delta at the output pre-activation is (p - y)/n
+    delta = (p - y)[..., None] / X.shape[-2]
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, keepdims=True, out=gb)
+        if i > 0:
+            delta = ((delta @ layers[i][0].swapaxes(-1, -2))
+                     * (1.0 - activations[i] ** 2))
+    return _bce(p, y)
+
+
 def loss_and_gradient(config: NetConfig, params, X, y):
     """Mean binary cross-entropy and its exact gradient w.r.t. flat params,
-    both from one forward pass."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    y = np.asarray(y, dtype=float)
-    layers, activations, p = _layer_outputs(config, params, X)
-    n = X.shape[0]
+    both from one forward pass.
 
-    # BCE with sigmoid output: delta at the output pre-activation is (p - y)/n
-    delta = (p - y)[:, None] / n
-    grads = []
-    for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
-        gw = activations[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads.append((gw, gb))
-        if i > 0:
-            delta = (delta @ w.T) * (1.0 - activations[i] ** 2)
-    grads.reverse()
-    grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return _bce(p, y), grad
+    Stacked `(k, P)` params with `(k, n, d)` rows and `(k, n)` labels give
+    `k` losses and a `(k, P)` gradient, bit for bit as `k` separate calls
+    would.
+    """
+    X = _rows(config, X)
+    if X.shape[-2] == 0:
+        raise ValueError("empty batch")
+    params = np.asarray(params, dtype=float)
+    grad = np.empty(params.shape)
+    loss = _backprop(_unflatten(config, params), _unflatten(config, grad), X,
+                     np.asarray(y, dtype=float))
+    return loss, grad
 
 
 def gradient(config: NetConfig, params, X, y):
@@ -277,6 +292,67 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
     return g_best, g_best_val, trace
 
 
+def _pso_start(X, y, net_cfg: NetConfig, pso_cfg: PsoConfig):
+    """(scaler, scaled rows, labels, PSO best, its loss, PSO trace) of one net."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if len(np.unique(y)) < 2:
+        raise SingleClass("training rows need both classes")
+    scaler = MinMaxScaler.fit(X)
+    Z = scaler.transform(X, clip=False)
+
+    def objective(swarm):
+        return bce_loss(net_cfg, swarm, Z, y)
+
+    best, best_val, trace = pso_optimize(objective, net_cfg.n_params(), pso_cfg)
+    if not np.isfinite(best_val):
+        raise NonFiniteLoss("PSO found no finite-loss parameters")
+    return scaler, Z, y, best, best_val, trace
+
+
+def _train_nets(Xs, ys, net_cfg: NetConfig, pso_cfgs, bp_cfg: BpConfig):
+    """Train one net per (X, y, PSO config), the gradient descents in lockstep.
+
+    Each net fits its own scaler on its own rows and runs its own PSO. The
+    k descents then share one forward and backward pass per epoch on the
+    stacked `(k, n, d)` batch, with the params and the gradient updated in
+    place through fixed per-layer views; each net gets bit for bit what a
+    descent of its own would give. Every X must have the same shape.
+    NonFiniteLoss if any net diverges.
+    """
+    scalers, Zs, ys, starts, start_losses, pso_traces = zip(*[
+        _pso_start(X, y, net_cfg, pso_cfg)
+        for X, y, pso_cfg in zip(Xs, ys, pso_cfgs)])
+    Z, Y = np.stack(Zs), np.stack(ys)
+    params = np.stack(starts)
+    best_params = params.copy()
+    best_loss = np.array(start_losses)
+    losses = np.empty((bp_cfg.epochs, len(params)))
+    grad = np.empty_like(params)
+    # per-layer views, valid for the whole descent: params change in place
+    layers, grad_layers = _unflatten(net_cfg, params), _unflatten(net_cfg, grad)
+    if bp_cfg.epochs:
+        _backprop(layers, grad_layers, Z, Y)
+    for epoch in range(bp_cfg.epochs):
+        params -= bp_cfg.learning_rate * grad
+        # the loss of this step's params, and the next step's gradient
+        loss = _backprop(layers, grad_layers, Z, Y)
+        if not np.isfinite(loss).all():
+            raise NonFiniteLoss("gradient descent diverged")
+        losses[epoch] = loss
+        better = loss < best_loss
+        np.copyto(best_loss, loss, where=better)
+        np.copyto(best_params, params, where=better[:, None])
+
+    return [
+        TrainedNet(net_cfg, best_params[i], scalers[i],
+                   {"pso_best": pso_traces[i], "bp_loss": losses[:, i].tolist(),
+                    "final_loss": float(best_loss[i])},
+                   pso_cfg.seed)
+        for i, pso_cfg in enumerate(pso_cfgs)
+    ]
+
+
 def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
                  bp_cfg: BpConfig = None, seed=0) -> TrainedNet:
     """Train on (X, y): PSO finds initial weights, gradient descent refines.
@@ -286,43 +362,10 @@ def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
     so the final training loss never exceeds the PSO-phase best.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if len(np.unique(y)) < 2:
-        raise SingleClass("training rows need both classes")
-    net_cfg = net_cfg or NetConfig(X.shape[1])
-    pso_cfg = pso_cfg or PsoConfig(seed=seed)
-    bp_cfg = bp_cfg or BpConfig()
-
-    scaler = MinMaxScaler.fit(X)
-    Z = scaler.transform(X, clip=False)
-
-    def objective(swarm):
-        return bce_loss(net_cfg, swarm, Z, y)
-
-    best, best_val, pso_trace = pso_optimize(objective, net_cfg.n_params(), pso_cfg)
-    if not np.isfinite(best_val):
-        raise NonFiniteLoss("PSO found no finite-loss parameters")
-
-    params = best.copy()
-    best_params, best_loss = params.copy(), best_val
-    bp_trace = []
-    grad = gradient(net_cfg, params, Z, y) if bp_cfg.epochs else None
-    for _ in range(bp_cfg.epochs):
-        params = params - bp_cfg.learning_rate * grad
-        # the loss of this step's params, and the next step's gradient
-        loss, grad = loss_and_gradient(net_cfg, params, Z, y)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss("gradient descent diverged")
-        bp_trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_params = params.copy()
-
-    return TrainedNet(
-        net_cfg, best_params, scaler,
-        {"pso_best": pso_trace, "bp_loss": bp_trace, "final_loss": best_loss},
-        seed,
-    )
+    net, = _train_nets([X], [y], net_cfg or NetConfig(X.shape[1]),
+                       [pso_cfg or PsoConfig(seed=seed)], bp_cfg or BpConfig())
+    net.seed = seed
+    return net
 
 
 def stratified_split(y, ratio=0.8, seed=0):
@@ -345,27 +388,28 @@ def scenario_matrix(X, y, scenario_columns, split_ratio=0.8, seeds=(0, 1, 2, 3, 
 
     `scenario_columns` maps scenario id -> list of column indices into X.
     Each seed produces one split reused by every scenario so scenarios
-    differ only in their input columns.
+    differ only in their input columns. A scenario's nets, one per seed,
+    train in lockstep: every split has the same training size.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y)
-    results = {sid: [] for sid in scenario_columns}
-    for seed in seeds:
-        train_idx, test_idx = stratified_split(y, split_ratio, seed)
-        if len(np.unique(y[test_idx])) < 2:
-            raise SingleClass("test split lost a class")
-        for sid, cols in scenario_columns.items():
-            cols = list(cols)
-            net_cfg = (net_cfg_builder(len(cols)) if net_cfg_builder
-                       else NetConfig(len(cols)))
-            p_cfg = pso_cfg or PsoConfig()
-            p_cfg = PsoConfig(p_cfg.swarm, p_cfg.iterations, p_cfg.inertia,
-                              p_cfg.cognitive, p_cfg.social, p_cfg.bound,
-                              p_cfg.velocity_clamp, seed=seed)
-            net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
-                               net_cfg, p_cfg, bp_cfg, seed=seed)
-            scores = net.predict_proba(X[np.ix_(test_idx, cols)])
-            results[sid].append(classification_metrics(scores, y[test_idx]))
+    splits = [stratified_split(y, split_ratio, seed) for seed in seeds]
+    if any(len(np.unique(y[test_idx])) < 2 for _, test_idx in splits):
+        raise SingleClass("test split lost a class")
+    pso_cfgs = [dataclasses.replace(pso_cfg or PsoConfig(), seed=seed)
+                for seed in seeds]
+    results = {}
+    for sid, cols in scenario_columns.items():
+        cols = list(cols)
+        net_cfg = (net_cfg_builder(len(cols)) if net_cfg_builder
+                   else NetConfig(len(cols)))
+        nets = _train_nets([X[np.ix_(train_idx, cols)] for train_idx, _ in splits],
+                           [y[train_idx] for train_idx, _ in splits],
+                           net_cfg, pso_cfgs, bp_cfg or BpConfig())
+        results[sid] = [
+            classification_metrics(net.predict_proba(X[np.ix_(test_idx, cols)]),
+                                   y[test_idx])
+            for net, (_, test_idx) in zip(nets, splits)]
     table = {}
     for sid, reports in results.items():
         table[sid] = MetricsReport(

@@ -51,7 +51,8 @@ class MatchAnalysis:
 def analyze_momentum(frame: ingest.FeatureFrame, features=None,
                      epsilon=ewm.DEFAULT_EPSILON, weights=None) -> MatchAnalysis:
     """Entropy weights and M_t of one match's derived features."""
-    features = features or DEFAULT_BASE_FEATURES
+    if features is None:
+        features = DEFAULT_BASE_FEATURES
     z = ingest.standardize(frame, features)
     w = weights or ewm.entropy_weights(z, epsilon)
     series = ewm.momentum_series(z, w, frame.match_id)
@@ -86,7 +87,8 @@ def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
 
 def scenario_inputs(analysis: MatchAnalysis, base_features=None):
     """(X, column names, y) with columns base..., M, CP, V."""
-    base_features = base_features or DEFAULT_BASE_FEATURES
+    if base_features is None:
+        base_features = DEFAULT_BASE_FEATURES
     if analysis.change_points is None:
         raise MatchPulseError("run detect_changepoints first")
     cols = [analysis.frame.column(f) for f in base_features]
@@ -98,7 +100,8 @@ def scenario_inputs(analysis: MatchAnalysis, base_features=None):
 
 
 def scenario_column_map(names, base_features=None):
-    base_features = base_features or DEFAULT_BASE_FEATURES
+    if base_features is None:
+        base_features = DEFAULT_BASE_FEATURES
     out = {}
     for sid, extras in SCENARIOS.items():
         out[sid] = [names.index(f) for f in base_features + extras]

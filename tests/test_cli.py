@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from matchpulse import ingest
-from matchpulse.cli import main
+from matchpulse.cli import Run, build_parser, main
+from matchpulse.explain import ShapConfig, shapley_values
+from matchpulse.model import TrainedNet, stratified_split
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FAST_MODEL = ["--hidden", "3", "--swarm", "6", "--pso-iterations", "10",
@@ -111,6 +114,46 @@ def test_train_then_shap(csv_path, tmp_path, capsys):
     ranking = open(os.path.join(out2, "shap.csv")).read().splitlines()
     assert ranking[0] == "feature,mean_abs_phi,rank"
     assert len(ranking) == 1 + 9  # six base features + M, CP, V
+
+
+def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
+                                                      capsys):
+    # `shap` scales the background and each instance once and scores the
+    # coalitions with `forward`. Its phi must equal attribution through
+    # `predict_proba`, which scales every coalition row, also where the
+    # scaler clips (its range narrowed to the middle third) or has a
+    # constant column.
+    out = str(tmp_path / "train")
+    assert run(capsys, ["train", "--input", csv_path, "--out", out]
+               + FAST_MODEL)[0] == 0
+    doc = json.loads(open(os.path.join(out, "model.json")).read())
+    mins, maxs = doc["scaler"]["mins"], doc["scaler"]["maxs"]
+    doc["scaler"]["mins"] = [lo + (hi - lo) / 3 for lo, hi in zip(mins, maxs)]
+    doc["scaler"]["maxs"] = [hi - (hi - lo) / 3 for lo, hi in zip(mins, maxs)]
+    doc["scaler"]["maxs"][0] = doc["scaler"]["mins"][0]
+    model = tmp_path / "narrow.json"
+    model.write_text(json.dumps(doc))
+    argv = ["shap", "--input", csv_path, "--model", str(model),
+            "--background", "12", "--shap-points", "3"] + FAST_MODEL
+    assert run(capsys, argv + ["--out", str(tmp_path / "shap")])[0] == 0
+    rows = open(tmp_path / "shap" / "shap_points.csv").read().splitlines()
+
+    args = build_parser().parse_args(argv)
+    X, names, y, col_map = Run(args).scenario
+    cols = col_map[args.scenario]
+    train_idx, test_idx = stratified_split(y, args.split, args.seed)
+    bg_idx = np.random.default_rng(args.seed).choice(train_idx, size=12,
+                                                     replace=False)
+    net = TrainedNet.from_json(doc)
+    z = net.scaler.transform(X[test_idx[:3]][:, cols], clip=False)
+    assert ((z < -0.5) | (z > 1.5)).any()
+    cfg = ShapConfig(X[np.ix_(bg_idx, cols)])
+    expected = ["instance,feature,feature_value,phi"] + [
+        f"{i},{names[c]},{float(X[i, c])!r},{float(phi)!r}"
+        for i in test_idx[:3]
+        for c, phi in zip(cols, shapley_values(net.predict_proba, X[i, cols],
+                                               cfg).phi)]
+    assert rows == expected
 
 
 def test_evaluate_scenarios(csv_path, tmp_path, capsys):
@@ -356,6 +399,10 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     ["report", "--shap-points", "0"],
     ["changepoints", "--target-changepoints", "0"],
     ["changepoints", "--threshold", "-1"],
+    ["changepoints", "--drift", "-1"],
+    ["changepoints", "--drift", "nan"],
+    ["changepoints", "--drift", "inf"],
+    ["momentum", "--features", ","],
     ["momentum", "--epsilon", "-1"],
     ["synth", "--points", "0"],
     ["synth", "--matches", "0"],
@@ -375,6 +422,7 @@ def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     ("cap=1", "'cap'"),
     ("scenario=nope", "'scenario'"),
     ("split=2", "'split'"),
+    ("features=,", "'features'"),
     ("just text", "bad config line 1"),
 ])
 def test_config_bad_value_exits_1(line, named, csv_path, tmp_path, capsys):

@@ -11,7 +11,7 @@ from matchpulse.explain import (
     mean_abs_shap,
     shapley_values,
 )
-from matchpulse.model import MinMaxScaler, NetConfig, TrainedNet
+from matchpulse.model import MinMaxScaler, NetConfig, TrainedNet, forward
 
 
 def linear_predict(w, b):
@@ -207,3 +207,32 @@ def test_blocked_scoring_equals_per_coalition_loop(F, B):
         assert sum(calls) == 2 ** F * B
         per_block = max(1, explain.BLOCK_ROWS // B)
         assert len(calls) == -(-2 ** F // per_block)
+
+
+def test_prescaled_attribution_equals_rescaled():
+    # `shap` scales the background and the instance once and scores the
+    # coalitions with `forward`. The scaler works cell by cell, so this is
+    # bit for bit what re-scaling every stacked row in `predict_proba`
+    # gives, with a constant training column (span 0) and with cells
+    # outside the training range (clipped) in the instance and background.
+    rng = np.random.default_rng(31)
+    cfg = NetConfig(4, (8,))
+    X = rng.standard_normal((160, 4)) * 3.0
+    X[:, 2] = 7.0
+    net = TrainedNet(cfg, rng.standard_normal(cfg.n_params()),
+                     MinMaxScaler.fit(X[100:] / 4))
+    assert net.scaler.maxs[2] == net.scaler.mins[2]
+    bg = X[:100]
+    instance = np.array([50.0, -40.0, 9.0, 0.5])
+    scaled_instance = net.scaler.transform(instance)[0]
+    assert scaled_instance[0] == 1.5 and scaled_instance[1] == -0.5
+    z = net.scaler.transform(bg, clip=False)
+    assert ((z < -0.5) | (z > 1.5)).any()
+
+    rescaled = shapley_values(net.predict_proba, instance, ShapConfig(bg))
+    prescaled = shapley_values(lambda rows: forward(cfg, net.params, rows),
+                               scaled_instance,
+                               ShapConfig(net.scaler.transform(bg)))
+    assert np.array_equal(prescaled.phi, rescaled.phi)
+    assert prescaled.base_value == rescaled.base_value
+    assert prescaled.prediction == rescaled.prediction

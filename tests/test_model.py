@@ -1,16 +1,18 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from matchpulse.errors import BadModel, DimMismatch, SingleClass
+from matchpulse.errors import BadModel, DimMismatch, NonFiniteLoss, SingleClass
 from matchpulse.model import (
     BpConfig,
     MinMaxScaler,
     NetConfig,
     PsoConfig,
     TrainedNet,
+    _train_nets,
     bce_loss,
     forward,
     gradient,
@@ -20,6 +22,7 @@ from matchpulse.model import (
     stratified_split,
     train_bp_pso,
 )
+from matchpulse.stats import classification_metrics
 
 TINY_PSO = PsoConfig(swarm=8, iterations=15)
 TINY_BP = BpConfig(learning_rate=0.1, epochs=50)
@@ -55,6 +58,11 @@ def test_forward_dim_mismatch():
     cfg = NetConfig(2, (3,))
     with pytest.raises(DimMismatch):
         forward(cfg, np.zeros(cfg.n_params()), np.ones((4, 5)))
+    # a stacked (k, n, d) batch is checked on d, not on its row count n
+    P = np.zeros((3, cfg.n_params()))
+    with pytest.raises(DimMismatch):
+        forward(cfg, P, np.ones((3, 2, 5)))
+    assert forward(cfg, P, np.ones((3, 5, 2))).shape == (3, 5)
 
 
 def test_gradient_matches_finite_differences():
@@ -316,6 +324,66 @@ def test_loss_and_gradient_equal_separate_calls():
         assert loss == bce_loss(cfg, params, X, y)
         assert loss == reference_bce_loss(cfg, params, X, y)
         assert np.array_equal(grad, reference_gradient(cfg, params, X, y))
+        # stacked (k, P) params, each with its own (n, d) batch
+        P = rng.standard_normal((4, cfg.n_params()))
+        Xs = rng.standard_normal((4, 40, 3))
+        ys = rng.integers(0, 2, size=(4, 40)).astype(float)
+        losses, grads = loss_and_gradient(cfg, P, Xs, ys)
+        assert losses.shape == (4,) and grads.shape == P.shape
+        for k in range(4):
+            loss, grad = loss_and_gradient(cfg, P[k], Xs[k], ys[k])
+            assert losses[k] == loss
+            assert np.array_equal(grads[k], grad)
+
+
+def train_sets(rng, k, n, d):
+    Xs = [rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+          for _ in range(k)]
+    ys = [(X[:, 0] / X[:, 0].std() + rng.standard_normal(n) > 0).astype(float)
+          for X in Xs]
+    return Xs, ys
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+def test_lockstep_nets_equal_per_net_reference(hidden):
+    rng = np.random.default_rng(16)
+    Xs, ys = train_sets(rng, 3, 70, 4)
+    net_cfg = NetConfig(4, hidden)
+    pso_cfgs = [PsoConfig(swarm=10, iterations=20, seed=s) for s in (21, 22, 23)]
+    bp_cfg = BpConfig(learning_rate=1.0, epochs=40)
+    nets = _train_nets(Xs, ys, net_cfg, pso_cfgs, bp_cfg)
+    assert len(nets) == 3
+    # the step is large enough that in some epoch one net's loss improves on
+    # its best and another's does not, so the best points are tracked per net
+    losses = np.array([[n.history["pso_best"][-1]] + n.history["bp_loss"]
+                       for n in nets])
+    improved = losses[:, 1:] < np.minimum.accumulate(losses, axis=1)[:, :-1]
+    assert (improved.any(axis=0) & ~improved.all(axis=0)).any()
+    for net, X, y, pso_cfg in zip(nets, Xs, ys, pso_cfgs):
+        params, pso_trace, bp_trace, final_loss = reference_train(
+            X, y, net_cfg, pso_cfg, bp_cfg)
+        assert np.array_equal(net.params, params)
+        assert net.history["pso_best"] == pso_trace
+        assert net.history["bp_loss"] == bp_trace
+        assert net.history["final_loss"] == final_loss
+        assert net.seed == pso_cfg.seed
+
+
+def test_lockstep_divergence_of_one_net_raises():
+    # at this learning rate the second dataset's descent overflows to a
+    # non-finite loss, while the other two converge on their own
+    rng = np.random.default_rng(17)
+    Xs, ys = train_sets(rng, 3, 60, 3)
+    net_cfg = NetConfig(3, (4,))
+    pso_cfgs = [PsoConfig(swarm=8, iterations=5, seed=s) for s in range(3)]
+    bp_cfg = BpConfig(learning_rate=1.7e308, epochs=50)
+    with np.errstate(all="ignore"):
+        _train_nets([Xs[0], Xs[2]], [ys[0], ys[2]], net_cfg,
+                    [pso_cfgs[0], pso_cfgs[2]], bp_cfg)
+        with pytest.raises(NonFiniteLoss, match="diverged"):
+            train_bp_pso(Xs[1], ys[1], net_cfg, pso_cfgs[1], bp_cfg)
+        with pytest.raises(NonFiniteLoss, match="diverged"):
+            _train_nets(Xs, ys, net_cfg, pso_cfgs, bp_cfg)
 
 
 def xor_data():
@@ -436,6 +504,36 @@ def test_scenario_matrix_shares_splits():
     for sid in cols:
         r = table[sid]
         assert r.tp + r.fp + r.tn + r.fn == 2 * 24
+
+
+def reference_scenario_reports(X, y, scenario_columns, split_ratio, seeds,
+                               net_cfg_builder, pso_cfg, bp_cfg):
+    """One `train_bp_pso` call per seed and scenario: the loop that lockstep
+    training replaced, kept as an oracle for the per-seed reports."""
+    results = {sid: [] for sid in scenario_columns}
+    for seed in seeds:
+        train_idx, test_idx = stratified_split(y, split_ratio, seed)
+        for sid, cols in scenario_columns.items():
+            net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
+                               net_cfg_builder(len(cols)),
+                               dataclasses.replace(pso_cfg, seed=seed), bp_cfg,
+                               seed=seed)
+            scores = net.predict_proba(X[np.ix_(test_idx, cols)])
+            results[sid].append(classification_metrics(scores, y[test_idx]))
+    return results
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+def test_scenario_matrix_equals_per_net_loop(hidden):
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((110, 4)) * [1.0, 5.0, 0.2, 1.0]
+    y = (X[:, 0] + X[:, 3] + rng.standard_normal(110) > 0).astype(int)
+    cols = {"two": [0, 1], "four": [0, 1, 2, 3]}
+    builder = lambda d: NetConfig(d, hidden)
+    _, per_seed = scenario_matrix(X, y, cols, 0.8, (3, 4, 5), builder,
+                                  TINY_PSO, TINY_BP)
+    assert per_seed == reference_scenario_reports(
+        X, y, cols, 0.8, (3, 4, 5), builder, TINY_PSO, TINY_BP)
 
 
 def test_gradient_empty_batch_raises():
