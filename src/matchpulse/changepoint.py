@@ -142,4 +142,6 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
     gap, h_best, cps, trace, it = best
     if gap <= tolerance:
         return TunedResult(h_best, cps, trace, True, it)
-    raise NoConvergence(max_iter, TunedResult(h_best, cps, trace, False, it))
+    raise NoConvergence(
+        f"threshold tuner did not converge in {max_iter} iterations",
+        TunedResult(h_best, cps, trace, False, it))

@@ -78,10 +78,7 @@ def _write_json(out_dir, name, obj):
 
 def _write_csv_rows(out_dir, name, header, rows):
     buf = io.StringIO()
-    buf.write(",".join(str(h) for h in header) + "\n")
-    for row in rows:
-        buf.write(",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    ingest.write_csv_rows(buf, [header, *rows])
     return _atomic_write(out_dir, name, buf.getvalue())
 
 
@@ -168,13 +165,9 @@ class Run:
 def cmd_ingest(args, run):
     frames = run.frames
     buf = io.StringIO()
-    for i, f in enumerate(frames):
-        sub = io.StringIO()
-        f.to_csv(sub)
-        text = sub.getvalue()
-        if i:
-            text = text.split("\n", 1)[1]
-        buf.write(text)
+    ingest.write_csv_rows(buf, [ingest.CSV_HEADER])
+    for f in frames:
+        f.to_csv(buf)
     _atomic_write(args.out, "features.csv", buf.getvalue())
     _write_json(args.out, "features.json",
                 {"schema_version": 1, "matches": [f.to_json() for f in frames]})
@@ -217,12 +210,11 @@ def cmd_momentum(args, run):
                 {"schema_version": 1, "match_id": match.match_id,
                  **analysis.weights.to_json()})
     _write_csv_rows(args.out, "momentum.csv", ["t", "M"],
-                    [(t + 1, float(v))
-                     for t, v in enumerate(analysis.momentum.values)])
+                    enumerate(analysis.momentum.values.tolist(), start=1))
     _summary(command="momentum", match_id=match.match_id,
              points=analysis.momentum.T,
              weights=dict(zip(analysis.weights.column_ids,
-                              [float(w) for w in analysis.weights.weights])))
+                              analysis.weights.weights.tolist())))
 
 
 def cmd_changepoints(args, run):
@@ -235,11 +227,9 @@ def cmd_changepoints(args, run):
         "converged": analysis.tuner_converged,
         **cps.to_json(),
     })
-    labels = cps.labels()
     _write_csv_rows(args.out, "cusum.csv", ["t", "c_pos", "c_neg", "CP"],
-                    [(t + 1, float(analysis.trace.c_pos[t]),
-                      float(analysis.trace.c_neg[t]), int(labels[t]))
-                     for t in range(cps.T)])
+                    zip(range(1, cps.T + 1), analysis.trace.c_pos.tolist(),
+                        analysis.trace.c_neg.tolist(), cps.labels().tolist()))
     _summary(command="changepoints", match_id=match.match_id, n=cps.n,
              positive=sum(1 for s in cps.signs if s > 0),
              negative=sum(1 for s in cps.signs if s < 0),
@@ -252,7 +242,7 @@ def cmd_shift(args, run):
                 {"schema_version": 1, "match_id": match.match_id,
                  **ss.to_json()})
     _write_csv_rows(args.out, "shift.csv", ["t", "V"],
-                    [(t + 1, float(v)) for t, v in enumerate(ss.values)])
+                    enumerate(ss.values.tolist(), start=1))
     _summary(command="shift", match_id=match.match_id, d_max=ss.d_max,
              anchors=len(ss.anchors))
 
@@ -271,9 +261,7 @@ def cmd_train(args, run):
     net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
     net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
                        net_cfg, pso_cfg, bp_cfg, seed=args.seed)
-    buf = io.StringIO()
-    net.save(buf)
-    _atomic_write(args.out, "model.json", buf.getvalue() + "\n")
+    _write_json(args.out, "model.json", net.to_json())
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
     metrics = classification_metrics(scores, y[test_idx])
     _write_json(args.out, "train_metrics.json", {
@@ -336,8 +324,9 @@ def cmd_shap(args, run):
     _write_csv_rows(
         args.out, "shap_points.csv",
         ["instance", "feature", "feature_value", "phi"],
-        [(int(i), col_names[j], float(X[i, cols[j]]), float(r.phi[j]))
-         for i, r in zip(sample, reports) for j in range(len(cols))])
+        [(i, name, x, phi) for i, r in zip(sample.tolist(), reports)
+         for name, x, phi in zip(col_names, X[i, cols].tolist(),
+                                 r.phi.tolist())])
     _summary(command="shap", match_id=run.match.match_id,
              instances=len(reports), ranking=[f for f, _ in ranking])
 
@@ -487,17 +476,27 @@ def build_parser():
         p.add_argument("--epochs", type=_NON_NEGATIVE, default=500,
                        help="gradient-descent epochs after PSO")
 
+    def add_streak_opts(p):
+        p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP,
+                       help="pooling cap for streak lengths")
+        p.add_argument("--exact", action="store_true",
+                       help="always run the Monte-Carlo exact test")
+        p.add_argument("--replicates", type=_POSITIVE, default=100_000,
+                       help="Monte-Carlo replicates of the exact test")
+
+    def add_shap_opts(p):
+        p.add_argument("--background", type=_POSITIVE, default=100,
+                       help="background sample size")
+        p.add_argument("--shap-points", type=_POSITIVE, default=20,
+                       help="number of test instances to attribute")
+
     p = add("ingest", cmd_ingest, help="parse a CSV and emit derived features")
     add_input(p)
 
     p = add("test-momentum", cmd_test_momentum,
             help="streak contingency table and independence tests")
     add_input(p)
-    p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP,
-                   help="pooling cap for streak lengths")
-    p.add_argument("--exact", action="store_true",
-                   help="always run the Monte-Carlo exact test")
-    p.add_argument("--replicates", type=_POSITIVE, default=100_000)
+    add_streak_opts(p)
 
     p = add("select-features", cmd_select_features,
             help="stepwise AUC feature selection over all matches")
@@ -538,10 +537,7 @@ def build_parser():
     add_cusum_opts(p)
     add_model_opts(p)
     p.add_argument("--model", required=True, help="model.json from `train`")
-    p.add_argument("--background", type=_POSITIVE, default=100,
-                   help="background sample size")
-    p.add_argument("--shap-points", type=_POSITIVE, default=20,
-                   help="number of test instances to attribute")
+    add_shap_opts(p)
 
     p = add("synth", cmd_synth, help="generate synthetic point sequences")
     p.add_argument("--matches", type=_POSITIVE, default=31)
@@ -552,14 +548,11 @@ def build_parser():
 
     p = add("report", cmd_report, help="full pipeline for one match")
     add_input(p)
-    p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--replicates", type=_POSITIVE, default=100_000)
+    add_streak_opts(p)
     add_momentum_opts(p)
     add_cusum_opts(p)
     add_model_opts(p)
-    p.add_argument("--background", type=_POSITIVE, default=100)
-    p.add_argument("--shap-points", type=_POSITIVE, default=20)
+    add_shap_opts(p)
 
     return parser
 

@@ -70,12 +70,11 @@ class EmptySeries(MatchPulseError):
 
 
 class NoConvergence(MatchPulseError):
-    """Tuner hit its iteration budget; carries the best result seen so far."""
+    """An iteration budget ran out; `best` holds the best result, if kept."""
 
-    def __init__(self, max_iter, best=None):
-        self.max_iter = max_iter
+    def __init__(self, message, best=None):
         self.best = best
-        super().__init__(f"threshold tuner did not converge in {max_iter} iterations")
+        super().__init__(message)
 
 
 # --- shift ---
@@ -87,10 +86,6 @@ class TimeOutOfRange(MatchPulseError):
 # --- stats ---
 
 class SingleClass(MatchPulseError):
-    pass
-
-
-class NonConvergence(MatchPulseError):
     pass
 
 

@@ -139,6 +139,20 @@ def point_table(columns):
     return table
 
 
+CSV_HEADER = ["match_id", "point", *FEATURE_IDS, "outcome"]
+
+
+def write_csv_rows(stream, rows):
+    """Write rows as CSV: any float, numpy's included, as repr(float(v)),
+    which float() reads back bit for bit; anything else as str(v)."""
+    writer = csv.writer(stream, lineterminator="\n")
+    # csv.writer itself writes an exact float as repr(v), an int or str as
+    # str(v): leaving those cells to it saves a Python call per cell
+    writer.writerows([v if type(v) in (float, int, str)
+                      else repr(float(v)) if isinstance(v, (float, np.floating))
+                      else str(v) for v in row] for row in rows)
+
+
 @dataclass
 class MatchData:
     match_id: str
@@ -168,21 +182,17 @@ class FeatureFrame:
         return self.features[:, self.feature_ids.index(feature_id)]
 
     def to_csv(self, stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["match_id", "point"] + self.feature_ids + ["outcome"])
-        for t in range(self.T):
-            writer.writerow(
-                [self.match_id, t + 1]
-                + [repr(v) for v in self.features[t]]
-                + [int(self.outcome[t])]
-            )
+        """Write one CSV row per point, in CSV_HEADER's columns (no header)."""
+        write_csv_rows(stream, (
+            [self.match_id, t, *x, y] for t, (x, y) in enumerate(
+                zip(self.features.tolist(), self.outcome.tolist()), start=1)))
 
     def to_json(self):
+        """Per-match metadata; the values themselves go to `to_csv`."""
         return {
             "match_id": self.match_id,
             "feature_ids": self.feature_ids,
-            "features": self.features.tolist(),
-            "outcome": self.outcome.tolist(),
+            "T": self.T,
             "orientation": self.orientation,
             "imputed": {k: list(v) for k, v in self.imputed.items()},
         }

@@ -9,7 +9,6 @@ compares the four input layers (Base, +M, +CP, +V) over shared splits.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +116,6 @@ class TrainedNet:
                            f"match input_dim {cfg.input_dim}")
         return cls(cfg, params, MinMaxScaler(mins, maxs),
                    doc.get("history", {}), doc.get("seed", 0))
-
-    def save(self, stream):
-        json.dump(self.to_json(), stream, indent=1)
-
-    @classmethod
-    def load(cls, stream):
-        return cls.from_json(json.load(stream))
 
 
 def _unflatten(config: NetConfig, params):
@@ -331,18 +323,23 @@ def _train_nets(Xs, ys, net_cfg: NetConfig, pso_cfgs, bp_cfg: BpConfig):
     grad = np.empty_like(params)
     # per-layer views, valid for the whole descent: params change in place
     layers, grad_layers = _unflatten(net_cfg, params), _unflatten(net_cfg, grad)
-    if bp_cfg.epochs:
-        _backprop(layers, grad_layers, Z, Y)
-    for epoch in range(bp_cfg.epochs):
-        params -= bp_cfg.learning_rate * grad
-        # the loss of this step's params, and the next step's gradient
-        loss = _backprop(layers, grad_layers, Z, Y)
-        if not np.isfinite(loss).all():
-            raise NonFiniteLoss("gradient descent diverged")
-        losses[epoch] = loss
-        better = loss < best_loss
-        np.copyto(best_loss, loss, where=better)
-        np.copyto(best_params, params, where=better[:, None])
+    # any overflow is divergence, though the clipped output keeps losses finite
+    try:
+        with np.errstate(over="raise"):
+            if bp_cfg.epochs:
+                _backprop(layers, grad_layers, Z, Y)
+            for epoch in range(bp_cfg.epochs):
+                params -= bp_cfg.learning_rate * grad
+                # the loss of this step's params, and the next step's gradient
+                loss = _backprop(layers, grad_layers, Z, Y)
+                if not np.isfinite(loss).all():
+                    raise NonFiniteLoss("gradient descent diverged")
+                losses[epoch] = loss
+                better = loss < best_loss
+                np.copyto(best_loss, loss, where=better)
+                np.copyto(best_params, params, where=better[:, None])
+    except FloatingPointError:
+        raise NonFiniteLoss("gradient descent diverged") from None
 
     return [
         TrainedNet(net_cfg, best_params[i], scalers[i],

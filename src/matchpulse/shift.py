@@ -27,14 +27,7 @@ class ShiftSeries:
         """Evaluate V at a possibly fractional time in [0, T]."""
         if t < 0 or t > self.T:
             raise TimeOutOfRange(f"t={t} outside [0, {self.T}]")
-        if not self.anchors:
-            return 0.0
-        xs = [0.0] + [float(a) for a, _ in self.anchors]
-        ys = [0.0] + [v for _, v in self.anchors]
-        if self.anchors[-1][0] < self.T:
-            xs.append(float(self.T))
-            ys.append(0.0)
-        return float(np.interp(t, xs, ys))
+        return float(np.interp(t, *_knots(self.anchors, self.T)))
 
     def to_json(self):
         return {
@@ -43,6 +36,16 @@ class ShiftSeries:
             "anchors": [[t, v] for t, v in self.anchors],
             "values": self.values.tolist(),
         }
+
+
+def _knots(anchors, T):
+    """(times, values) of V's knots: 0 at t = 0, the anchors, 0 at T."""
+    xs = [0.0] + [float(a) for a, _ in anchors]
+    ys = [0.0] + [v for _, v in anchors]
+    if not anchors or anchors[-1][0] < T:
+        xs.append(float(T))
+        ys.append(0.0)
+    return xs, ys
 
 
 def relative_distance(cp: ChangePointSet, T=None) -> ShiftSeries:
@@ -58,7 +61,6 @@ def relative_distance(cp: ChangePointSet, T=None) -> ShiftSeries:
         (t, s * (d_max / d))
         for t, s, d in zip(cp.times, cp.signs, durations)
     ]
-    series = ShiftSeries(np.zeros(T), d_max, anchors, T)
     # the terminal anchor at t_N = T keeps its anchor value (no decay span)
-    series.values = np.array([series.at(t) for t in range(1, T + 1)])
-    return series
+    values = np.interp(np.arange(1, T + 1), *_knots(anchors, T))
+    return ShiftSeries(values, d_max, anchors, T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesign, NonConvergence, SingleClass
+from .errors import DegenerateDesign, NoConvergence, SingleClass
 
 SEPARATION_COEF_CAP = 30.0
 
@@ -136,7 +136,7 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
             grad_norm = float(np.linalg.norm(Xd.T @ (p - y)))
             break
     else:
-        raise NonConvergence(f"gradient norm {grad_norm:.3g} after {max_iter} iters")
+        raise NoConvergence(f"gradient norm {grad_norm:.3g} after {max_iter} iters")
     return LogisticModel(beta[:m], float(beta[m]), it, grad_norm, separated)
 
 

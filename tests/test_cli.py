@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -375,7 +376,63 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     code, _, _ = run(capsys, ["ingest", "--input", str(path), "--out", out])
     assert code == 0
     doc = json.loads(open(os.path.join(out, "features.json")).read())
+    assert set(doc["matches"][0]) == {"match_id", "feature_ids", "T",
+                                      "orientation", "imputed"}
     assert doc["matches"][0]["imputed"] == {"x15": [2], "x16": [2]}
+
+
+def test_report_csv_cells_are_numbers(csv_path, tmp_path, capsys):
+    out = str(tmp_path / "report")
+    code, _, _ = run(capsys, ["report", "--input", csv_path, "--out", out,
+                              "--background", "10", "--shap-points", "2"]
+                     + FAST_MODEL)
+    assert code == 0
+    tables = {}
+    for name in os.listdir(out):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name), newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+    assert {"features.csv", "momentum.csv", "cusum.csv", "shift.csv",
+            "shap.csv", "shap_points.csv"} <= set(tables)
+    for name, (header, *rows) in tables.items():
+        numeric = [j for j, h in enumerate(header)
+                   if h not in ("match_id", "feature")]
+        for row in rows:
+            for j in numeric:
+                float(row[j])       # ValueError names the file's bad cell
+
+    header, *rows = tables["features.csv"]
+    assert header == ["match_id", "point", *ingest.FEATURE_IDS, "outcome"]
+    frames = [ingest.derive_features(m) for m in ingest.parse_csv(csv_path)]
+    expected = np.vstack([np.column_stack([f.features, f.outcome])
+                          for f in frames])
+    read = np.array([[float(c) for c in row[2:]] for row in rows])
+    assert np.array_equal(read, expected)
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (f.match_id, t) for f in frames for t in range(1, f.T + 1)]
+
+
+@pytest.mark.parametrize("command, dests", [
+    ("test-momentum", ["cap", "exact", "replicates"]),
+    ("shap", ["background", "shap_points"]),
+])
+def test_report_flags_match_their_commands(command, dests):
+    commands = build_parser().commands
+    for dest in dests:
+        own = commands[command].options[dest]
+        report = commands["report"].options[dest]
+        assert (report.type, report.default, report.help) == \
+            (own.type, own.default, own.help), dest
+        assert own.help
+
+
+def test_diverging_descent_exits_1_without_warnings(csv_path, tmp_path):
+    code, err = run_process(["train", "--input", csv_path,
+                             "--out", str(tmp_path / "x"),
+                             "--learning-rate", "1.7e308"])
+    assert code == 1
+    assert err.startswith("error:") and "diverged" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ from matchpulse.ingest import (
     derive_features,
     parse_csv,
     standardize,
+    write_csv_rows,
     write_points_csv,
 )
 
@@ -414,3 +415,11 @@ def test_parse_and_derive_raise_only_domain_errors(edits):
             derive_features(m)
     except MatchPulseError:
         pass
+
+
+def test_write_csv_rows_writes_floats_as_float_repr():
+    buf = io.StringIO()
+    write_csv_rows(buf, [[np.float64(0.1), np.float32(0.5), 2.0, np.int64(3),
+                          4, "x9"], [np.float64(1) / 3]])
+    assert buf.getvalue() == f"0.1,0.5,2.0,3,4,x9\n{1 / 3!r}\n"
+    assert float(buf.getvalue().split()[1]) == 1 / 3

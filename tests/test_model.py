@@ -1,6 +1,6 @@
 import dataclasses
-import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -370,13 +370,14 @@ def test_lockstep_nets_equal_per_net_reference(hidden):
 
 
 def test_lockstep_divergence_of_one_net_raises():
-    # at this learning rate the second dataset's descent overflows to a
-    # non-finite loss, while the other two converge on their own
+    # at this learning rate the second dataset's descent overflows, while
+    # the other two stay finite on their own (their own limits are about
+    # 7.0e307 and 9e307; the second's is 6.7e307)
     rng = np.random.default_rng(17)
     Xs, ys = train_sets(rng, 3, 60, 3)
     net_cfg = NetConfig(3, (4,))
     pso_cfgs = [PsoConfig(swarm=8, iterations=5, seed=s) for s in range(3)]
-    bp_cfg = BpConfig(learning_rate=1.7e308, epochs=50)
+    bp_cfg = BpConfig(learning_rate=6.9e307, epochs=50)
     with np.errstate(all="ignore"):
         _train_nets([Xs[0], Xs[2]], [ys[0], ys[2]], net_cfg,
                     [pso_cfgs[0], pso_cfgs[2]], bp_cfg)
@@ -384,6 +385,17 @@ def test_lockstep_divergence_of_one_net_raises():
             train_bp_pso(Xs[1], ys[1], net_cfg, pso_cfgs[1], bp_cfg)
         with pytest.raises(NonFiniteLoss, match="diverged"):
             _train_nets(Xs, ys, net_cfg, pso_cfgs, bp_cfg)
+
+
+def test_overflowing_descent_raises_non_finite_loss():
+    # the clipped output keeps this loss finite while the params overflow
+    rng = np.random.default_rng(17)
+    Xs, ys = train_sets(rng, 1, 60, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLoss, match="diverged"):
+            train_bp_pso(Xs[0], ys[0], NetConfig(3, (4,)), TINY_PSO,
+                         BpConfig(learning_rate=1.7e308, epochs=50))
 
 
 def xor_data():
@@ -438,10 +450,7 @@ def test_save_load_roundtrip():
     X = rng.standard_normal((40, 2))
     y = (X[:, 0] > 0).astype(float)
     net = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=6)
-    buf = io.StringIO()
-    net.save(buf)
-    buf.seek(0)
-    loaded = TrainedNet.load(buf)
+    loaded = TrainedNet.from_json(json.loads(json.dumps(net.to_json())))
     assert np.array_equal(loaded.params, net.params)
     probe = rng.standard_normal((7, 2))
     assert np.allclose(loaded.predict_proba(probe), net.predict_proba(probe))

@@ -106,3 +106,12 @@ def test_piecewise_linear_between_anchors():
         for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
             mid = (t0 + t1) / 2
             assert ss.at(mid) == pytest.approx((v0 + v1) / 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("times, signs, T", [
+    ([5], [1], 10), ([4, 6], [1, -1], 12), ([3, 8], [1, 1], 8),
+    ([7, 19, 20, 41, 77], [-1, 1, 1, -1, 1], 90),
+])
+def test_values_equal_pointwise_at(times, signs, T):
+    ss = relative_distance(ChangePointSet(times, signs, T))
+    assert ss.values.tolist() == [ss.at(t) for t in range(1, T + 1)]

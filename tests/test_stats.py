@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import rankdata
 
-from matchpulse.errors import DegenerateDesign, SingleClass
+from matchpulse.errors import DegenerateDesign, NoConvergence, SingleClass
 from matchpulse.stats import (
     SEPARATION_COEF_CAP,
     average_ranks,
@@ -211,3 +211,12 @@ def test_stepwise_trace_is_consistent():
     assert trace.final_auc == trace.steps[-1][3]
     aucs = [s[3] for s in trace.steps]
     assert all(a < b for a, b in zip(aucs, aucs[1:]))
+
+
+def test_fit_logistic_out_of_iterations_raises_no_convergence():
+    rng = np.random.default_rng(3)
+    X, y = logistic_data(rng, 200, np.array([1.0, -0.5]), 0.3)
+    fit_logistic(X, y)          # converges given its full budget
+    with pytest.raises(NoConvergence, match="after 1 iters") as err:
+        fit_logistic(X, y, max_iter=1)
+    assert err.value.best is None
