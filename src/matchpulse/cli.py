@@ -44,7 +44,10 @@ path = sys.argv[1]
 with open(path) as fh:
     rows = list(csv.reader(fh))
 header, data = rows[0], rows[1:]
-xs = [float(r[0]) for r in data]
+try:
+    xs = [float(r[0]) for r in data]
+except ValueError:  # a text first column (match id, feature): plot by row
+    xs, header[0] = list(range(1, len(data) + 1)), "row"
 for j in range(1, len(header)):
     try:
         plt.plot(xs, [float(r[j]) for r in data], label=header[j])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadModel, DimMismatch, NonFiniteLoss, SingleClass
-from .stats import MetricsReport, classification_metrics
+from .stats import MetricsReport, classification_metrics, single_class
 
 SCENARIO_ORDER = ["base", "base_m", "base_m_cp", "base_m_cp_v"]
 
@@ -288,7 +288,7 @@ def _pso_start(X, y, net_cfg: NetConfig, pso_cfg: PsoConfig):
     """(scaler, scaled rows, labels, PSO best, its loss, PSO trace) of one net."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if len(np.unique(y)) < 2:
+    if single_class(y):
         raise SingleClass("training rows need both classes")
     scaler = MinMaxScaler.fit(X)
     Z = scaler.transform(X, clip=False)
@@ -370,7 +370,7 @@ def stratified_split(y, ratio=0.8, seed=0):
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
     train, test = [], []
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):
         idx = np.where(y == cls)[0]
         rng.shuffle(idx)
         cut = int(round(ratio * len(idx)))
@@ -391,7 +391,7 @@ def scenario_matrix(X, y, scenario_columns, split_ratio=0.8, seeds=(0, 1, 2, 3, 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y)
     splits = [stratified_split(y, split_ratio, seed) for seed in seeds]
-    if any(len(np.unique(y[test_idx])) < 2 for _, test_idx in splits):
+    if any(single_class(y[test_idx]) for _, test_idx in splits):
         raise SingleClass("test split lost a class")
     pso_cfgs = [dataclasses.replace(pso_cfg or PsoConfig(), seed=seed)
                 for seed in seeds]

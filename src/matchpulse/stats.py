@@ -69,9 +69,17 @@ class SelectionTrace:
         }
 
 
+def single_class(y):
+    """True when the array y holds fewer than two distinct labels.
+
+    min/max instead of np.unique, whose first call imports numpy.ma.
+    """
+    return not len(y) or y.min() == y.max()
+
+
 def _check_two_classes(y):
     y = np.asarray(y)
-    if len(np.unique(y)) < 2:
+    if single_class(y):
         raise SingleClass("need both classes present")
     return y
 
@@ -152,14 +160,23 @@ def average_ranks(values):
     return ranks
 
 
-def roc_auc(scores, labels):
-    """(AUC, ROC points). AUC is the Mann-Whitney statistic, ties half."""
+def auc_score(scores, labels):
+    """AUC as the Mann-Whitney statistic, ties counted half (Hanley &
+    McNeil 1982): the rank sum of the positives, without the ROC curve."""
     scores = np.asarray(scores, dtype=float)
-    labels = _check_two_classes(labels).astype(int)
-    pos = labels == 1
+    pos = _check_two_classes(labels).astype(int) == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     ranks = average_ranks(scores)
-    auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def roc_auc(scores, labels):
+    """(AUC, ROC points). The AUC is `auc_score`'s."""
+    auc = auc_score(scores, labels)
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(int)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
@@ -171,7 +188,7 @@ def roc_auc(scores, labels):
     curve = [(0.0, 0.0)] + [
         (fps[i] / n_neg, tps[i] / n_pos) for i in idx
     ]
-    return float(auc), curve
+    return auc, curve
 
 
 def classification_metrics(scores, labels, threshold=0.5) -> MetricsReport:
@@ -185,7 +202,7 @@ def classification_metrics(scores, labels, threshold=0.5) -> MetricsReport:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    auc, _ = roc_auc(scores, labels)
+    auc = auc_score(scores, labels)
     return MetricsReport(precision, recall, f1, auc, threshold, tp, fp, tn, fn)
 
 
@@ -195,7 +212,7 @@ def _auc_of_subset(X, y, subset, cache):
         return cache[key]
     try:
         model = fit_logistic(X[:, list(subset)], y)
-        auc, _ = roc_auc(model.predict_proba(X[:, list(subset)]), y)
+        auc = auc_score(model.predict_proba(X[:, list(subset)]), y)
     except DegenerateDesign:
         auc = None
     cache[key] = auc

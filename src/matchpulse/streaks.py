@@ -142,24 +142,38 @@ def build_contingency(records, cap=DEFAULT_CAP) -> ContingencyTable:
     return ContingencyTable(counts, cap)
 
 
+def _joined(sequences, sep):
+    """The sequences end to end, `sep` before the first, between each pair
+    and after the last; an int separator keeps unsigned input from wrapping."""
+    sep = np.array([sep])
+    parts = [sep]
+    for seq in sequences:
+        parts += [np.asarray(seq), sep]
+    return np.concatenate(parts)
+
+
 def contingency_from_sequences(sequences, cap=DEFAULT_CAP) -> ContingencyTable:
     """Pooled contingency table over several matches, without materializing
     per-prefix records (equivalent to build_contingency on the concatenated
-    extract_streaks output, but fast enough for calibration loops)."""
+    extract_streaks output, but fast enough for calibration loops).
+
+    A 0 between matches ends every run at its match's last point, so one
+    `run_lengths` over the joined sequences gives all run lengths. A run
+    of length L extends at every prefix i < L and terminates at L, so row
+    i holds the runs longer than i and the runs of exactly i.
+    """
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    all_lengths = np.concatenate(
-        [run_lengths(seq) for seq in sequences] or [np.array([], dtype=int)]
-    )
-    if len(all_lengths) == 0:
+    lengths = run_lengths(_joined(sequences, 0))
+    if len(lengths) == 0:
         raise EmptyStreaks("no winning runs in any sequence")
-    max_len = int(all_lengths.max())
-    hist = np.bincount(all_lengths, minlength=max_len + 1)
+    hist = np.bincount(lengths)                  # hist[i]: runs of exactly i
+    longer = np.cumsum(hist[::-1])[::-1] - hist  # longer[i]: runs past i
     counts = np.zeros((cap, 2), dtype=int)
-    for i in range(1, max_len + 1):
-        row = min(i, cap) - 1
-        counts[row, 0] += int(hist[i + 1:].sum())   # runs continuing past i
-        counts[row, 1] += int(hist[i])              # runs ending exactly at i
+    direct = min(cap, len(hist)) - 1             # rows 1..cap-1 are unpooled
+    counts[:direct, 0] = longer[1:direct + 1]
+    counts[:direct, 1] = hist[1:direct + 1]
+    counts[cap - 1] = longer[cap:].sum(), hist[cap:].sum()
     return ContingencyTable(counts, cap)
 
 
@@ -323,18 +337,19 @@ def conditional_win_probs(sequences, cap=DEFAULT_CAP) -> ConditionalProbTable:
     bucket. Zero-support entries are flagged as None.
     """
     out = ConditionalProbTable(cap)
+    # a -1 between matches ends every run and is no point's successor
+    seq = _joined(sequences, -1)
+    index = np.arange(len(seq))
+    has_next = np.append(seq[1:] != -1, False)
+    next_won = np.append(seq[1:] == 1, False)
     for side, d in ((1, out.win_given_win), (0, out.win_given_loss)):
-        support = np.zeros(cap, dtype=int)
-        wins = np.zeros(cap, dtype=int)
-        for seq in sequences:
-            seq = np.asarray(seq)
-            run = 0
-            for t in range(len(seq)):
-                run = run + 1 if seq[t] == side else 0
-                if run and t + 1 < len(seq):
-                    b = min(run, cap) - 1
-                    support[b] += 1
-                    wins[b] += int(seq[t + 1] == 1)
+        on_side = seq == side
+        # run length at t: t minus the last index <= t that is off this side
+        run = index - np.maximum.accumulate(np.where(on_side, -1, index))
+        counted = on_side & has_next
+        bucket = np.minimum(run[counted], cap) - 1
+        support = np.bincount(bucket, minlength=cap)
+        wins = np.bincount(bucket[next_won[counted]], minlength=cap)
         for k in range(1, cap + 1):
             s, w = int(support[k - 1]), int(wins[k - 1])
             d[k] = (w / s if s else None, s, w)

@@ -28,8 +28,6 @@ class GeneratorConfig:
 
 
 def _draw_match(u, p, boost):
-    if boost is None:
-        return (u < p).astype(int)
     T = len(u)
     seq = np.zeros(T, dtype=int)
     k = 0
@@ -45,15 +43,17 @@ def _draw_match(u, p, boost):
 
 
 def gen_momentum(cfg: GeneratorConfig):
-    """List of binary sequences under the streak-boosted win process."""
+    """List of binary sequences under the streak-boosted win process.
+
+    One (matches, T) uniform draw: its rows are the draws that one
+    `rng.random(T)` call per match would give, bit for bit.
+    """
     if not 0 < cfg.p < 1:
         raise ValueError("p must be in (0,1)")
-    rng = np.random.default_rng(cfg.seed)
-    out = []
-    for _ in range(cfg.matches):
-        u = rng.random(cfg.T)
-        out.append(_draw_match(u, cfg.p, cfg.boost))
-    return out
+    u = np.random.default_rng(cfg.seed).random((cfg.matches, cfg.T))
+    if cfg.boost is None:
+        return list((u < cfg.p).astype(int))
+    return [_draw_match(row, cfg.p, cfg.boost) for row in u]
 
 
 def gen_null(p=0.5, T=235, matches=31, seed=0):

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
+from conftest import build_corpus, corpus_csv
 
 from matchpulse import ingest
 from matchpulse.cli import Run, build_parser, main
@@ -270,6 +273,31 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_train_loads_no_numpy_ma(csv_path, tmp_path):
+    # np.unique's first call imports numpy.ma (about 16 ms and 1 MiB)
+    code = ("import sys; from matchpulse.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "train", "--input", csv_path,
+         "--out", str(tmp_path / "out"), *FAST_MODEL],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_select_features_refusal_is_unchanged(tmp_path, capsys):
+    # the bench tournament corpus (seed 1, 31x300, boost 0.1), on which
+    # fit_logistic's absolute gradient-norm stop is never met
+    boost = lambda k: 0.1 if k >= 1 else (-0.1 if k <= -1 else 0.0)
+    path = tmp_path / "points.csv"
+    path.write_text(corpus_csv(build_corpus(n_matches=31, T=300, boost=boost,
+                                            seed=1)))
+    code, _, err = run(capsys, ["select-features", "--input", str(path),
+                                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.splitlines()[-1] == "error: gradient norm 3.21e-07 after 100 iters"
+
+
 def _swap_first_points(lines):
     lines[1], lines[2] = lines[2], lines[1]
 
@@ -410,6 +438,44 @@ def test_report_csv_cells_are_numbers(csv_path, tmp_path, capsys):
     assert np.array_equal(read, expected)
     assert [(r[0], int(r[1])) for r in rows] == [
         (f.match_id, t) for f in frames for t in range(1, f.T + 1)]
+
+
+def test_plot_stub_runs_on_every_csv_artifact(csv_path, tmp_path, capsys,
+                                              monkeypatch):
+    out = str(tmp_path / "report")
+    code, _, _ = run(capsys, ["report", "--input", csv_path, "--out", out,
+                              "--background", "10", "--shap-points", "2"]
+                     + FAST_MODEL)
+    assert code == 0
+    # matplotlib is not a dependency: a stand-in records what would be drawn
+    drawn = []
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.plot = lambda xs, ys, label: drawn.append((list(xs), len(ys), label))
+    pyplot.xlabel = lambda label: drawn.append(("xlabel", label))
+    pyplot.legend = pyplot.show = lambda: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    names = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    assert {"features.csv", "momentum.csv", "cusum.csv", "shift.csv",
+            "shap.csv", "shap_points.csv"} <= set(names)
+    for name in names:
+        with open(os.path.join(out, name), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        drawn.clear()
+        monkeypatch.setattr(sys, "argv", ["plot.py", os.path.join(out, name)])
+        runpy.run_path(os.path.join(out, "plot.py"), run_name="__main__")
+        *lines, xlabel = drawn
+        assert lines, name
+        try:
+            xs, label = [float(r[0]) for r in rows], header[0]
+        except ValueError:      # text first column: plotted by row number
+            xs, label = list(range(1, len(rows) + 1)), "row"
+        assert name not in ("features.csv", "shap.csv") or label == "row"
+        assert xlabel == ("xlabel", label), name
+        for line_xs, n_ys, _ in lines:
+            assert line_xs == xs and n_ys == len(rows), name
 
 
 @pytest.mark.parametrize("command, dests", [

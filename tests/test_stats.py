@@ -8,10 +8,12 @@ from scipy.stats import rankdata
 from matchpulse.errors import DegenerateDesign, NoConvergence, SingleClass
 from matchpulse.stats import (
     SEPARATION_COEF_CAP,
+    auc_score,
     average_ranks,
     classification_metrics,
     fit_logistic,
     roc_auc,
+    single_class,
     stepwise_select,
 )
 
@@ -112,6 +114,31 @@ def test_auc_pairwise_oracle_with_ties():
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]),
+                          st.integers(0, 1)), min_size=2, max_size=60))
+def test_auc_score_equals_roc_auc_and_pairwise_oracle(pairs):
+    scores, labels = map(list, zip(*pairs))
+    if len(set(labels)) < 2:
+        with pytest.raises(SingleClass):
+            auc_score(scores, labels)
+        return
+    auc = auc_score(scores, labels)
+    assert type(auc) is float
+    assert auc == roc_auc(scores, labels)[0]
+    # half-integer rank sums and pair counts are exact in binary
+    assert auc == brute_force_auc(scores, labels)
+
+
+@pytest.mark.parametrize("labels", [[], [1], [0, 0, 0], [1.0, 1.0]])
+def test_one_class_labels_raise(labels):
+    assert single_class(np.asarray(labels))
+    with pytest.raises(SingleClass):
+        auc_score([0.5] * len(labels), labels)
+    with pytest.raises(SingleClass):
+        classification_metrics([0.5] * len(labels), labels)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.25, 1.0, 3.0, 1e300]),
                 min_size=1, max_size=60))
 def test_average_ranks_equal_rankdata_with_ties(values):
@@ -194,6 +221,26 @@ def test_stepwise_tie_breaks_to_lower_index():
     X = np.column_stack([x, x + 1.0])
     trace = stepwise_select(X, y, feature_ids=["first", "second"])
     assert trace.steps[0][1] == "first"
+
+
+def test_stepwise_trace_is_unchanged():
+    # recorded from the version that scored candidates with roc_auc's curve;
+    # the coarse column gives tied scores, and one step removes a feature
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((60, 5))
+    X[:, 3] = np.round(X[:, 3])
+    beta = np.array([1.2, 0.0, -0.8, 0.6, 0.0])
+    y = (rng.random(60) < 1 / (1 + np.exp(-X @ beta))).astype(int)
+    trace = stepwise_select(X, y, feature_ids=["a", "b", "c", "d", "e"])
+    assert trace.steps == [
+        ("add", "c", ["c"], 0.6422222222222222),
+        ("add", "e", ["c", "e"], 0.6666666666666666),
+        ("add", "b", ["b", "c", "e"], 0.6766666666666666),
+        ("add", "d", ["b", "c", "d", "e"], 0.6822222222222222),
+        ("add", "a", ["a", "b", "c", "d", "e"], 0.7033333333333334),
+        ("remove", "b", ["a", "c", "d", "e"], 0.7088888888888889),
+    ]
+    assert trace.final_auc == 0.7088888888888889
 
 
 def test_stepwise_empty_candidates_raises():

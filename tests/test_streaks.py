@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from matchpulse import streaks
@@ -100,6 +102,33 @@ def test_contingency_from_sequences_matches_records():
     fast = contingency_from_sequences(seqs, cap=4)
     slow = build_contingency(records, cap=4)
     assert np.array_equal(fast.counts, slow.counts)
+
+
+# matches of 0/1 points, empty matches included, in the dtypes callers pass
+binary_matches = st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=6)
+outcome_dtypes = st.sampled_from([int, np.uint8, bool, float])
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_matches, st.integers(2, 10), outcome_dtypes)
+def test_contingency_from_sequences_equals_pooled_records(matches, cap, dtype):
+    seqs = [np.array(m, dtype=dtype) for m in matches]
+    records = [r for s in seqs for r in extract_streaks(s)]
+    if not records:     # no matches, only empty matches, or all losses
+        with pytest.raises(EmptyStreaks):
+            contingency_from_sequences(seqs, cap=cap)
+        return
+    fast = contingency_from_sequences(seqs, cap=cap)
+    slow = build_contingency(records, cap=cap)
+    assert fast.counts.dtype == slow.counts.dtype
+    assert np.array_equal(fast.counts, slow.counts)
+
+
+def test_contingency_from_sequences_all_losses_raise():
+    with pytest.raises(EmptyStreaks):
+        contingency_from_sequences([[0, 0, 0], [], [0]])
+    with pytest.raises(EmptyStreaks):
+        contingency_from_sequences([])
 
 
 def test_transition_prob_certain_row():
@@ -236,6 +265,38 @@ def test_conditional_probs_brute_force_oracle():
             assert s == support[k] and w == wins[k]
             if s:
                 assert prob == pytest.approx(w / s)
+
+
+def reference_conditional_win_probs(sequences, cap):
+    """The per-point loop that `conditional_win_probs` replaced."""
+    out = {}
+    for side in (1, 0):
+        support = np.zeros(cap, dtype=int)
+        wins = np.zeros(cap, dtype=int)
+        for seq in sequences:
+            seq = np.asarray(seq)
+            run = 0
+            for t in range(len(seq)):
+                run = run + 1 if seq[t] == side else 0
+                if run and t + 1 < len(seq):
+                    b = min(run, cap) - 1
+                    support[b] += 1
+                    wins[b] += int(seq[t + 1] == 1)
+        out[side] = {k: (int(wins[k - 1]) / int(support[k - 1])
+                         if support[k - 1] else None,
+                         int(support[k - 1]), int(wins[k - 1]))
+                     for k in range(1, cap + 1)}
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_matches, st.integers(2, 10), outcome_dtypes)
+def test_conditional_probs_equal_per_point_loop(matches, cap, dtype):
+    seqs = [np.array(m, dtype=dtype) for m in matches]
+    table = conditional_win_probs(seqs, cap=cap)
+    ref = reference_conditional_win_probs(seqs, cap)
+    assert table.win_given_win == ref[1]
+    assert table.win_given_loss == ref[0]
 
 
 def test_margin_consistency_invariant():

@@ -3,11 +3,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchpulse.ingest import parse_csv
 from matchpulse.streaks import chi_squared_test, contingency_from_sequences
 from matchpulse.synth import (
     GeneratorConfig,
+    _draw_match,
     calibrate,
     gen_momentum,
     gen_null,
@@ -36,6 +39,29 @@ def test_null_equals_zero_boost_bitwise():
     with_boost = gen_momentum(cfg_zero)
     without = gen_null(p=0.4, T=150, matches=4, seed=9)
     assert all(np.array_equal(a, b) for a, b in zip(with_boost, without))
+
+
+def reference_gen_momentum(cfg):
+    """The per-match draws that `gen_momentum`'s single draw replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for _ in range(cfg.matches):
+        u = rng.random(cfg.T)
+        out.append((u < cfg.p).astype(int) if cfg.boost is None
+                   else _draw_match(u, cfg.p, cfg.boost))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.01, 0.99), st.integers(0, 40), st.integers(0, 5),
+       st.integers(0, 2**32 - 1), st.sampled_from([None, 0.0, 0.1, 0.3]))
+def test_gen_momentum_equals_per_match_draws(p, T, matches, seed, delta):
+    cfg = GeneratorConfig(p=p, T=T, matches=matches, seed=seed,
+                          boost=None if delta is None else step_boost(delta))
+    got, ref = gen_momentum(cfg), reference_gen_momentum(cfg)
+    assert len(got) == len(ref) == matches
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_null_marginal_rate():
@@ -116,6 +142,15 @@ def test_calibrate_counts_rejections():
     assert lo <= rate <= hi
     # reproducible
     assert calibrate(test_fn, 0.05, 600, cfg)[0] == rate
+
+
+def test_calibrate_chi_squared_rate_is_unchanged():
+    # the bench tournament's calibration call at seed 1
+    def test_fn(seqs):
+        return chi_squared_test(contingency_from_sequences(seqs))
+    cfg = GeneratorConfig(p=0.5, T=300, matches=31, seed=1)
+    assert calibrate(test_fn, 0.05, 500, cfg) == (
+        0.044, (0.02602262185968154, 0.06197737814031845))
 
 
 def test_calibrate_requires_enough_datasets():
