@@ -17,10 +17,13 @@ import sys
 import tempfile
 from functools import cached_property
 
+# set before numpy loads: tiny matrices gain nothing from a BLAS thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import ewm, ingest, pipeline, streaks, synth
-from .errors import BadModel, MatchPulseError
+from .errors import BadModel, EmptyInput, MatchPulseError, SingleClass
 from .explain import ShapConfig, mean_abs_shap, shapley_values
 from .model import (
     BpConfig,
@@ -32,7 +35,7 @@ from .model import (
     stratified_split,
     train_bp_pso,
 )
-from .stats import classification_metrics, stepwise_select
+from .stats import classification_metrics, single_class, stepwise_select
 
 PLOT_STUB = """\
 # Minimal plotting helper for the CSV artifacts in this directory.
@@ -261,6 +264,8 @@ def cmd_train(args, run):
     X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
     train_idx, test_idx = stratified_split(y, args.split, args.seed)
+    if single_class(y[test_idx]):
+        raise SingleClass("test split lost a class")
     net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
     net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
                        net_cfg, pso_cfg, bp_cfg, seed=args.seed)
@@ -302,13 +307,15 @@ def cmd_shap(args, run):
     X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
     col_names = [names[c] for c in cols]
+    train_idx, test_idx = stratified_split(y, args.split, args.seed)
+    if not len(test_idx):
+        raise EmptyInput(f"--split {args.split} leaves no test rows to attribute")
     try:
         with open(args.model, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise BadModel(f"cannot read model {args.model!r}: {exc}") from None
     net = TrainedNet.from_json(doc)
-    train_idx, test_idx = stratified_split(y, args.split, args.seed)
     rng = np.random.default_rng(args.seed)
     bg_idx = rng.choice(train_idx, size=min(args.background, len(train_idx)),
                         replace=False)

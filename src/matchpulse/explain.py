@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -46,27 +47,60 @@ class ShapReport:
         }
 
 
-def _subset_values(predict, instance, cfg: ShapConfig):
-    """Mean prediction for every subset of features held at instance values.
+@dataclass(frozen=True)
+class _Plan:
+    """Coalitions of F features, and the terms of every phi in sum order."""
+    mask: np.ndarray            # (2^F, F): row r holds subset r's features
+    with_rows: np.ndarray       # (F, 2^(F-1)): rows of S ∪ {i}, per feature i
+    without_rows: np.ndarray    # (F, 2^(F-1)): rows of S
+    weights: np.ndarray         # (F, 2^(F-1)): |S|! (F-|S|-1)! / F!
+
+
+@lru_cache(maxsize=None)
+def _plan(F) -> _Plan:
+    subsets = [subset for size in range(F + 1)
+               for subset in combinations(range(F), size)]
+    row = {subset: r for r, subset in enumerate(subsets)}
+    mask = np.zeros((len(subsets), F), dtype=bool)
+    for r, subset in enumerate(subsets):
+        mask[r, list(subset)] = True
+    fact = [math.factorial(k) for k in range(F + 1)]
+    with_rows, without_rows, weights = [], [], []
+    for i in range(F):
+        rest = [j for j in range(F) if j != i]
+        terms = [(row[tuple(sorted(subset + (i,)))], row[subset],
+                  fact[size] * fact[F - size - 1] / fact[F])
+                 for size in range(F) for subset in combinations(rest, size)]
+        w_row, wo_row, weight = zip(*terms)
+        with_rows.append(w_row)
+        without_rows.append(wo_row)
+        weights.append(weight)
+    shape = (F, len(subsets) // 2)
+    plan = _Plan(mask, np.array(with_rows, dtype=np.intp).reshape(shape),
+                 np.array(without_rows, dtype=np.intp).reshape(shape),
+                 np.array(weights, dtype=float).reshape(shape))
+    for array in vars(plan).values():   # shared by every later call
+        array.flags.writeable = False
+    return plan
+
+
+def _subset_values(predict, instance, cfg: ShapConfig, mask):
+    """Mean prediction for every subset (row of `mask`) of features held at
+    instance values.
 
     Coalitions are scored in blocks of about BLOCK_ROWS stacked rows, one
     `predict` call per block.
     """
     bg = cfg.background
     n_features = len(instance)
-    subsets = [subset for size in range(n_features + 1)
-               for subset in combinations(range(n_features), size)]
-    mask = np.zeros((len(subsets), n_features), dtype=bool)
-    for row, subset in enumerate(subsets):
-        mask[row, list(subset)] = True
     per_block = max(1, BLOCK_ROWS // len(bg))
-    values = {}
-    for start in range(0, len(subsets), per_block):
+    values = np.empty(len(mask))
+    for start in range(0, len(mask), per_block):
         block = mask[start:start + per_block]
         rows = np.where(block[:, None, :], instance, bg)
         preds = np.asarray(predict(rows.reshape(-1, n_features)))
-        means = preds.reshape(len(block), len(bg)).mean(axis=1)
-        values.update(zip(subsets[start:start + per_block], means.tolist()))
+        values[start:start + len(block)] = (
+            preds.reshape(len(block), len(bg)).mean(axis=1))
     return values
 
 
@@ -84,20 +118,15 @@ def shapley_values(predict, instance, cfg: ShapConfig,
     if cfg.background.shape[1] != F:
         raise ValueError("background and instance disagree on feature count")
 
-    values = _subset_values(predict, instance, cfg)
-    fact = [math.factorial(k) for k in range(F + 1)]
-    phi = np.zeros(F)
-    others = list(range(F))
-    for i in range(F):
-        rest = [j for j in others if j != i]
-        for size in range(F):
-            weight = fact[size] * fact[F - size - 1] / fact[F]
-            for subset in combinations(rest, size):
-                with_i = tuple(sorted(subset + (i,)))
-                phi[i] += weight * (values[with_i] - values[subset])
-    base = values[()]
-    full = values[tuple(range(F))]
-    return ShapReport(phi, base, full, list(feature_ids or []))
+    plan = _plan(F)
+    values = _subset_values(predict, instance, cfg, plan.mask)
+    terms = plan.weights * (values[plan.with_rows] - values[plan.without_rows])
+    # phi_i = 0.0 + term_1 + term_2 + ..., added left to right as a loop
+    # would: cumsum accumulates in order, and the leading +0.0 makes an
+    # all-zero sum +0.0
+    phi = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1]
+    return ShapReport(phi, float(values[0]), float(values[-1]),
+                      list(feature_ids or []))
 
 
 def mean_abs_shap(reports):

@@ -35,6 +35,8 @@ FEATURE_IDS = [f"x{i}" for i in range(1, 17)]
 # x8 (double fault) and x9 (unforced error) hurt Player 1; everything else
 # is treated as the-more-the-better for standardization purposes.
 NEGATIVE_FEATURES = {"x8", "x9"}
+ORIENTATION = {fid: ("negative" if fid in NEGATIVE_FEATURES else "positive")
+               for fid in FEATURE_IDS}
 
 FLAG_FIELDS = [
     "p1_ace", "p2_ace", "p1_winner", "p2_winner",
@@ -398,11 +400,7 @@ def derive_features(m: MatchData) -> FeatureFrame:
     ])
     outcome = (p["point_victor"] == 1).astype(int)
 
-    orientation = {
-        fid: ("negative" if fid in NEGATIVE_FEATURES else "positive")
-        for fid in FEATURE_IDS
-    }
-    return FeatureFrame(m.match_id, X, outcome, list(FEATURE_IDS), orientation, imputed)
+    return FeatureFrame(m.match_id, X, outcome, list(FEATURE_IDS), ORIENTATION, imputed)
 
 
 def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:

@@ -108,12 +108,18 @@ class TrainedNet:
         dims = cfg.layer_dims()
         if not all(type(d) is int and d > 0 for d in dims):
             raise BadModel(f"layer sizes must be positive integers: {dims}")
+        if params.ndim != 1:
+            raise BadModel(f"params must be a flat list, got shape {params.shape}")
         if params.shape != (cfg.n_params(),):
             raise BadModel(f"model has {params.size} params, its "
                            f"layers {dims} need {cfg.n_params()}")
         if mins.shape != (cfg.input_dim,) or maxs.shape != (cfg.input_dim,):
             raise BadModel(f"scaler sizes {mins.size}/{maxs.size} do not "
                            f"match input_dim {cfg.input_dim}")
+        for name, values in (("params", params), ("scaler mins", mins),
+                             ("scaler maxs", maxs)):
+            if not np.isfinite(values).all():
+                raise BadModel(f"{name} must be finite")
         return cls(cfg, params, MinMaxScaler(mins, maxs),
                    doc.get("history", {}), doc.get("seed", 0))
 
@@ -162,10 +168,17 @@ def _layer_outputs(layers, X):
         np.tanh(a, out=a)
         activations.append(a)
     w, b = layers[-1]
-    z = a @ w
-    z += b
-    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500, out=z)))
-    return activations, p[..., 0]
+    # one output unit: drop its axis first, so the add runs along the rows
+    z = (a @ w)[..., 0]
+    z += b[..., 0]
+    # the sigmoid 1 / (1 + exp(-clip(z, -500, 500))), in place
+    np.maximum(z, -500, out=z)
+    np.minimum(z, 500, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    return activations, z
 
 
 def forward(config: NetConfig, params, X):
@@ -183,14 +196,21 @@ def forward(config: NetConfig, params, X):
 
 
 def _bce(p, y):
-    p = np.clip(p, 1e-12, 1 - 1e-12)
+    """Mean cross-entropy of probabilities p against 0/1 labels y."""
+    q = np.maximum(p, 1e-12)
+    np.minimum(q, 1 - 1e-12, out=q)
+    # one log per point, for 0/1 labels bit for bit y log p + (1 - y) log(1 - p):
+    # 1·x = x, 0·x = ±0 and x + ±0 = x
+    q = np.where(y == 1, q, 1 - q)
+    np.log(q, out=q)
     # the sum over n, then / n: what np.mean does, without its wrapper
-    loss = -(y * np.log(p) + (1 - y) * np.log(1 - p)).sum(axis=-1) / p.shape[-1]
+    loss = -q.sum(axis=-1) / q.shape[-1]
     return float(loss) if loss.ndim == 0 else loss
 
 
 def bce_loss(config, params, X, y):
-    """Mean binary cross-entropy; `(k, P)` params give `k` losses."""
+    """Mean binary cross-entropy against 0/1 labels y; `(k, P)` params
+    give `k` losses."""
     return _bce(forward(config, params, np.atleast_2d(X)), y)
 
 
@@ -238,6 +258,8 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
 
     `objective` maps the `(swarm, dim)` positions to `swarm` scores and is
     called once per iteration; a non-finite score counts as +inf fitness.
+    It gets a read-only view of one positions array that is updated in
+    place between iterations, so it must copy any rows it keeps.
     Fresh uniform r1/r2 are drawn per particle, iteration, and dimension;
     positions clip to the box and velocities to the clamp. Deterministic
     per seed.
@@ -246,36 +268,48 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     lo, hi = -cfg.bound, cfg.bound
+    clamp = cfg.velocity_clamp
     pos = rng.uniform(lo, hi, size=(cfg.swarm, dim))
-    vel = rng.uniform(-cfg.velocity_clamp, cfg.velocity_clamp, size=(cfg.swarm, dim))
+    vel = rng.uniform(-clamp, clamp, size=(cfg.swarm, dim))
+    view = pos.view()
+    view.flags.writeable = False
 
-    def score(positions):
-        fitness = np.asarray(objective(positions), dtype=float)
+    def score():
+        fitness = np.asarray(objective(view), dtype=float)
         if fitness.shape != (cfg.swarm,):
             raise ValueError(f"objective returned shape {fitness.shape}, "
                              f"expected ({cfg.swarm},)")
         return np.where(np.isfinite(fitness), fitness, np.inf)
 
-    fitness = score(pos)
+    fitness = score()
     p_best = pos.copy()
     p_best_val = fitness.copy()
     g_idx = int(np.argmin(fitness))
     g_best = pos[g_idx].copy()
     g_best_val = float(fitness[g_idx])
     trace = [g_best_val]
+    r1, r2, gap = np.empty((3, cfg.swarm, dim))
 
     for _ in range(cfg.iterations):
-        r1 = rng.random((cfg.swarm, dim))
-        r2 = rng.random((cfg.swarm, dim))
-        vel = (cfg.inertia * vel
-               + cfg.cognitive * r1 * (p_best - pos)
-               + cfg.social * r2 * (g_best - pos))
-        vel = np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp)
-        pos = np.clip(pos + vel, lo, hi)
-        fitness = score(pos)
+        rng.random(out=r1)
+        rng.random(out=r2)
+        # vel = (inertia·vel + (c1·r1)·(p_best − pos)) + (c2·r2)·(g_best − pos)
+        vel *= cfg.inertia
+        r1 *= cfg.cognitive
+        r1 *= np.subtract(p_best, pos, out=gap)
+        vel += r1
+        r2 *= cfg.social
+        r2 *= np.subtract(g_best, pos, out=gap)
+        vel += r2
+        np.maximum(vel, -clamp, out=vel)
+        np.minimum(vel, clamp, out=vel)
+        pos += vel
+        np.maximum(pos, lo, out=pos)
+        np.minimum(pos, hi, out=pos)
+        fitness = score()
         better = fitness < p_best_val
-        p_best[better] = pos[better]
-        p_best_val[better] = fitness[better]
+        np.copyto(p_best, pos, where=better[:, None])
+        np.copyto(p_best_val, fitness, where=better)
         i = int(np.argmin(p_best_val))
         if p_best_val[i] < g_best_val:
             g_best_val = float(p_best_val[i])
@@ -320,7 +354,7 @@ def _train_nets(Xs, ys, net_cfg: NetConfig, pso_cfgs, bp_cfg: BpConfig):
     best_params = params.copy()
     best_loss = np.array(start_losses)
     losses = np.empty((bp_cfg.epochs, len(params)))
-    grad = np.empty_like(params)
+    grad, step = np.empty_like(params), np.empty_like(params)
     # per-layer views, valid for the whole descent: params change in place
     layers, grad_layers = _unflatten(net_cfg, params), _unflatten(net_cfg, grad)
     # any overflow is divergence, though the clipped output keeps losses finite
@@ -329,7 +363,7 @@ def _train_nets(Xs, ys, net_cfg: NetConfig, pso_cfgs, bp_cfg: BpConfig):
             if bp_cfg.epochs:
                 _backprop(layers, grad_layers, Z, Y)
             for epoch in range(bp_cfg.epochs):
-                params -= bp_cfg.learning_rate * grad
+                params -= np.multiply(grad, bp_cfg.learning_rate, out=step)
                 # the loss of this step's params, and the next step's gradient
                 loss = _backprop(layers, grad_layers, Z, Y)
                 if not np.isfinite(loss).all():
@@ -376,7 +410,8 @@ def stratified_split(y, ratio=0.8, seed=0):
         cut = int(round(ratio * len(idx)))
         train.extend(idx[:cut])
         test.extend(idx[cut:])
-    return np.sort(np.array(train)), np.sort(np.array(test))
+    # dtype: an empty side must still index arrays
+    return np.sort(np.array(train, dtype=int)), np.sort(np.array(test, dtype=int))
 
 
 def scenario_matrix(X, y, scenario_columns, split_ratio=0.8, seeds=(0, 1, 2, 3, 4),

@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import build_corpus, corpus_csv
+from conftest import build_corpus, build_match, corpus_csv
 
 from matchpulse import ingest
 from matchpulse.cli import Run, build_parser, main
@@ -273,6 +273,22 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_runs_openblas_with_one_thread_unless_set():
+    # the library leaves the environment alone; importing the CLI sets
+    # one BLAS thread before numpy loads, unless the user chose a count
+    code = ("import os; get = lambda: os.environ.get('OPENBLAS_NUM_THREADS'); "
+            "import matchpulse.model; a = get(); "
+            "import matchpulse.cli; print(a, get())")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    for preset, expected in [(None, "None 1"), ("2", "2 2")]:
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == expected
+
+
 def test_train_loads_no_numpy_ma(csv_path, tmp_path):
     # np.unique's first call imports numpy.ma (about 16 ms and 1 MiB)
     code = ("import sys; from matchpulse.cli import main; "
@@ -499,6 +515,27 @@ def test_diverging_descent_exits_1_without_warnings(csv_path, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "diverged" in err
     assert "Warning" not in err
+
+
+def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
+    # a 10-point match: --split 0.95 leaves no test rows, which train,
+    # evaluate and shap refuse before any work, writing nothing
+    path = tmp_path / "ten.csv"
+    path.write_text(corpus_csv([build_match([1, 0, 1, 1, 0, 0, 1, 0, 1, 0],
+                                            seed=3)]))
+    model_dir = str(tmp_path / "model")
+    assert run(capsys, ["train", "--input", str(path), "--out", model_dir,
+                        "--split", "0.5", *FAST_MODEL])[0] == 0
+    model = os.path.join(model_dir, "model.json")
+    for i, argv in enumerate([["train"], ["evaluate", "--eval-seeds", "2"],
+                              ["shap", "--model", model]]):
+        out = tmp_path / f"out{i}"
+        code, summary, err = run(capsys, argv + [
+            "--input", str(path), "--out", str(out), "--split", "0.95",
+            *FAST_MODEL])
+        assert code == 1 and summary == {}
+        assert err.startswith("error:") and "split" in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -209,6 +209,32 @@ def test_blocked_scoring_equals_per_coalition_loop(F, B):
         assert len(calls) == -(-2 ** F // per_block)
 
 
+@pytest.mark.parametrize("B", [1, 7, 100])
+@pytest.mark.parametrize("F", range(1, 10))
+def test_coalition_plan_equals_per_subset_phi_loop(F, B):
+    # The phi sums come from a coalition plan built once per feature count.
+    # The model is a polynomial of +, - and *, which round the same at any
+    # row offset, so the coalition values are the oracle's bit for bit and
+    # any difference in phi is the summation's. For F >= 2 the model
+    # ignores the last feature, whose phi must be +0.0.
+    rng = np.random.default_rng(F * 100 + B)
+    used = F - 1 if F > 1 else F
+    coef = rng.standard_normal(used)
+
+    def predict(rows):
+        z = rows[:, :used]
+        return (z * coef).sum(axis=1) + z[:, 0] * z[:, -1] ** 2
+
+    X = rng.standard_normal((B + 3, F)) * 2.0
+    for x in X[B:]:
+        report = shapley_values(predict, x, ShapConfig(X[:B]))
+        phi, base, prediction = reference_shapley(predict, x, X[:B])
+        assert np.array_equal(report.phi, phi)
+        assert report.base_value == base and report.prediction == prediction
+        if used < F:
+            assert report.phi[-1] == 0.0 and not np.signbit(report.phi[-1])
+
+
 def test_prescaled_attribution_equals_rescaled():
     # `shap` scales the background and the instance once and scores the
     # coalitions with `forward`. The scaler works cell by cell, so this is

@@ -160,6 +160,15 @@ def test_pso_objective_exception_propagates():
         pso_optimize(broken, 2, PsoConfig(iterations=3, seed=0))
 
 
+def test_pso_objective_gets_read_only_positions():
+    # the positions array is updated in place and reused between iterations
+    def scribble(P):
+        P[0, 0] = 0.0
+        return sphere(P)
+    with pytest.raises(ValueError, match="read-only"):
+        pso_optimize(scribble, 2, PsoConfig(iterations=3, seed=0))
+
+
 def test_pso_scores_whole_swarm_once_per_iteration():
     shapes = []
 
@@ -311,6 +320,23 @@ def test_forward_stacked_params_equal_row_by_row(hidden):
     losses = bce_loss(cfg, P, X, y)
     assert losses.tolist() == [bce_loss(cfg, p, X, y) for p in P]
     assert forward(cfg, P, X[0]).tolist() == [forward(cfg, p, X[0]) for p in P]
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3), (1,), (12,)])
+def test_bce_loss_equals_reference_on_binary_labels(hidden):
+    # one log per point instead of y log p + (1 - y) log(1 - p): equal bit
+    # for bit on 0/1 labels, float or int, including saturated outputs
+    rng = np.random.default_rng(16)
+    cfg = NetConfig(3, hidden)
+    X = rng.standard_normal((70, 3)) * [1.0, 40.0, 0.3]
+    y = rng.integers(0, 2, size=70)
+    P = rng.standard_normal((5, cfg.n_params())) * 3.0
+    for labels in (y, y.astype(float)):
+        losses = bce_loss(cfg, P, X, labels)
+        for k in range(5):
+            ref = reference_bce_loss(cfg, P[k], X, labels)
+            assert bce_loss(cfg, P[k], X, labels) == ref
+            assert losses[k] == ref
 
 
 def test_loss_and_gradient_equal_separate_calls():
@@ -471,14 +497,36 @@ def _broken(doc, edit):
     lambda d: d["scaler"].__setitem__("mins", d["scaler"]["mins"][:-1]),
     lambda d: d["config"].__setitem__("hidden", ["3"]),
     lambda d: d["config"].__setitem__("input_dim", 2.5),
+    lambda d: d["params"].__setitem__(4, float("nan")),
+    lambda d: d["params"].__setitem__(0, float("-inf")),
+    lambda d: d["scaler"]["mins"].__setitem__(1, float("nan")),
+    lambda d: d["scaler"]["maxs"].__setitem__(0, float("inf")),
 ], ids=["no-params", "no-maxs", "no-config", "params-short", "params-text",
-        "mins-short", "hidden-text", "input-dim-float"])
+        "mins-short", "hidden-text", "input-dim-float", "params-nan",
+        "params-inf", "mins-nan", "maxs-inf"])
 def test_from_json_rejects_models_that_do_not_fit(edit):
     net = TrainedNet(NetConfig(2, (3,)), np.zeros(NetConfig(2, (3,)).n_params()),
                      MinMaxScaler(np.zeros(2), np.ones(2)))
     TrainedNet.from_json(net.to_json())
     with pytest.raises(BadModel):
         TrainedNet.from_json(_broken(net.to_json(), edit))
+
+
+def test_from_json_names_the_shape_of_nested_params():
+    cfg = NetConfig(3, (3,))
+    doc = TrainedNet(cfg, np.zeros(cfg.n_params()),
+                     MinMaxScaler(np.zeros(3), np.ones(3))).to_json()
+    assert len(doc["params"]) == 16
+    doc["params"] = [doc["params"][:8], doc["params"][8:]]
+    with pytest.raises(BadModel, match=r"shape \(2, 8\)"):
+        TrainedNet.from_json(doc)
+
+
+def test_stratified_split_returns_int_indices_for_an_empty_side():
+    train, test = stratified_split(np.array([0, 1, 1, 0, 1]), 0.95, seed=0)
+    assert len(test) == 0
+    assert train.dtype.kind == test.dtype.kind == "i"
+    assert np.ones(5)[test].shape == (0,)
 
 
 def test_stratified_split_preserves_balance():
