@@ -103,6 +103,10 @@ class NonFiniteLoss(MatchPulseError):
     pass
 
 
+class BadLabels(MatchPulseError):
+    """Training labels other than 0 and 1."""
+
+
 class BadModel(MatchPulseError):
     """A saved model that cannot be read or does not fit its own config."""
 

@@ -1,9 +1,10 @@
 """Feed-forward point-outcome model trained by PSO-seeded backpropagation.
 
 A small tanh network with a logistic output is trained on binary
-cross-entropy. PSO searches the flattened parameter space first; its
-global best seeds full-batch gradient descent. Scenario evaluation
-compares the four input layers (Base, +M, +CP, +V) over shared splits.
+cross-entropy. PSO searches the flattened parameter space first, scoring
+the swarm in float32; its global best seeds full-batch gradient descent,
+which runs in float64. Scenario evaluation compares the four input layers
+(Base, +M, +CP, +V) over shared splits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadModel, DimMismatch, NonFiniteLoss, SingleClass
+from .errors import BadLabels, BadModel, DimMismatch, NonFiniteLoss, SingleClass
 from .stats import MetricsReport, classification_metrics, single_class
 
 SCENARIO_ORDER = ["base", "base_m", "base_m_cp", "base_m_cp_v"]
@@ -73,6 +74,14 @@ class MinMaxScaler:
 
 @dataclass
 class TrainedNet:
+    """A trained net, its input scaler and its training record.
+
+    `history` holds `pso_best`, the PSO global best per iteration as the
+    float32 swarm scorer ranked it, and two float64 records: `bp_loss`, the
+    training loss after each gradient step, and `final_loss`, the loss of
+    `params`.
+    """
+
     config: NetConfig
     params: np.ndarray
     scaler: MinMaxScaler
@@ -103,7 +112,8 @@ class TrainedNet:
             params = np.array(doc["params"], dtype=float)
             mins = np.array(doc["scaler"]["mins"], dtype=float)
             maxs = np.array(doc["scaler"]["maxs"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer too large for a float, such as 10**400
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadModel(f"malformed model: {exc!r}") from None
         dims = cfg.layer_dims()
         if not all(type(d) is int and d > 0 for d in dims):
@@ -318,19 +328,63 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
     return g_best, g_best_val, trace
 
 
+def _swarm_scorer(config: NetConfig, Z, y):
+    """Mean cross-entropy of each `(swarm, P)` parameter vector on scaled
+    rows Z and 0/1 labels y, computed in float32 and summed in float64.
+
+    The first layer is one broadcast `[Z, 1] @ [w; b]` per particle: the
+    flat params store a layer's weight rows and then its bias, so `[w; b]`
+    is a reshape of the float32 swarm. A particle's score does not depend
+    on the rest of the swarm. The loss is log(1 + exp(u)) of the signed
+    logit u = (1 − 2y)·z, capped at −log(1e-12) as `bce_loss` caps it.
+    """
+    n, d = Z.shape
+    width = config.layer_dims()[1]
+    folded = (d + 1) * width
+    Z1 = np.ones((n, d + 1), dtype=np.float32)
+    Z1[:, :d] = Z
+    sign = (1.0 - 2.0 * y).astype(np.float32)
+    cap = np.float32(-np.log(1e-12))
+
+    def score(swarm):
+        P = swarm.astype(np.float32)
+        a = Z1 @ P[:, :folded].reshape(len(P), d + 1, width)
+        for w, b in _unflatten(config, P)[1:]:
+            np.tanh(a, out=a)
+            a = a @ w
+            a += b
+        u = a[..., 0]
+        u *= sign
+        # exp(80) is finite in float32, and log1p(exp(80)) is above the cap
+        np.maximum(u, -80, out=u)
+        np.minimum(u, 80, out=u)
+        np.exp(u, out=u)
+        np.log1p(u, out=u)
+        np.minimum(u, cap, out=u)
+        return u.sum(axis=-1, dtype=np.float64) / n
+
+    return score
+
+
 def _pso_start(X, y, net_cfg: NetConfig, pso_cfg: PsoConfig):
-    """(scaler, scaled rows, labels, PSO best, its loss, PSO trace) of one net."""
+    """(scaler, scaled rows, labels, PSO best, its loss, PSO trace) of one net.
+
+    PSO ranks the swarm with the float32 `_swarm_scorer`, and the trace
+    holds those scores. The best position's loss is `bce_loss` in float64,
+    as is every loss gradient descent compares. BadLabels unless y is 0/1.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
+    other = y[(y != 0) & (y != 1)]
+    if other.size:
+        raise BadLabels(f"training labels must be 0 or 1, got {other[0]:g}")
     if single_class(y):
         raise SingleClass("training rows need both classes")
     scaler = MinMaxScaler.fit(X)
     Z = scaler.transform(X, clip=False)
-
-    def objective(swarm):
-        return bce_loss(net_cfg, swarm, Z, y)
-
-    best, best_val, trace = pso_optimize(objective, net_cfg.n_params(), pso_cfg)
+    best, _, trace = pso_optimize(_swarm_scorer(net_cfg, Z, y),
+                                  net_cfg.n_params(), pso_cfg)
+    best_val = bce_loss(net_cfg, best, Z, y)
     if not np.isfinite(best_val):
         raise NonFiniteLoss("PSO found no finite-loss parameters")
     return scaler, Z, y, best, best_val, trace

@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -9,6 +12,8 @@ import types
 import numpy as np
 import pytest
 from conftest import build_corpus, build_match, corpus_csv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchpulse import ingest
 from matchpulse.cli import Run, build_parser, main
@@ -336,6 +341,93 @@ def test_bad_rows_exit_1_without_traceback(synthetic_csv, tmp_path, edit):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "at row" in err
+
+
+def test_wide_net_trains_without_warnings(csv_path, tmp_path):
+    # 64 hidden units put the PSO logits far outside the float32 scorer's
+    # clip range (about ±195 at this corpus's first particles)
+    code, err = run_process(["train", "--input", csv_path, "--out",
+                             str(tmp_path / "x"), "--hidden", "64",
+                             "--swarm", "6", "--pso-iterations", "5",
+                             "--epochs", "5"])
+    assert code == 0
+    assert err == ""
+
+
+@pytest.fixture(scope="module")
+def shap_fuzz_setup(tmp_path_factory):
+    """(argv of a `shap` call minus --model, the model.json text) on one
+    short match."""
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "points.csv"
+    path.write_text(corpus_csv(build_corpus(n_matches=1, T=120, seed=3)))
+    common = ["--input", str(path)] + FAST_MODEL
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--out", str(root / "train")] + common) == 0
+    text = (root / "train" / "model.json").read_text()
+    shap = ["shap", "--out", str(root / "shap"), "--background", "5",
+            "--shap-points", "1"] + common
+    return shap, text, root
+
+
+def _json_paths(node, path=()):
+    """The path of every value in a JSON tree, the root's () included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(text, kind, pick, value):
+    """`text` with one mutation: drop the picked key or item, retype it to
+    `value`, cut the text at `pick`, or write `value` into a param."""
+    if kind == "truncate":
+        return text[:pick % len(text)]
+    doc = json.loads(text)
+    if kind == "param":
+        doc["params"][pick % len(doc["params"])] = value
+        return json.dumps(doc)
+    paths = list(_json_paths(doc))[kind == "drop":]
+    path = paths[pick % len(paths)]
+    if not path:
+        return json.dumps(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["drop", "retype", "truncate", "param"]),
+       pick=st.integers(0, 10**4), value=JSON_VALUES)
+@example(kind="param", pick=2, value=0.5)
+@example(kind="param", pick=0, value=math.nan)
+@example(kind="param", pick=3, value=-math.inf)
+@example(kind="param", pick=1, value=10**400)
+@example(kind="retype", pick=0, value=[])
+def test_shap_on_mutated_model_exits_0_or_error_line(shap_fuzz_setup, kind,
+                                                      pick, value):
+    shap, text, root = shap_fuzz_setup
+    model = root / "model.json"
+    model.write_text(_mutate(text, kind, pick, value))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(shap + ["--model", str(model)])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), \
+        (code, err.getvalue())
 
 
 def test_shap_rejects_broken_model_without_traceback(csv_path, tmp_path, capsys):

@@ -5,13 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from matchpulse.errors import BadModel, DimMismatch, NonFiniteLoss, SingleClass
+from matchpulse.errors import (
+    BadLabels,
+    BadModel,
+    DimMismatch,
+    NonFiniteLoss,
+    SingleClass,
+)
 from matchpulse.model import (
     BpConfig,
     MinMaxScaler,
     NetConfig,
     PsoConfig,
     TrainedNet,
+    _swarm_scorer,
     _train_nets,
     bce_loss,
     forward,
@@ -269,14 +276,22 @@ def reference_pso(objective, dim, cfg):
     return g_best, g_best_val, trace
 
 
-def reference_train(X, y, net_cfg, pso_cfg, bp_cfg):
-    """Per-particle PSO, then two calls (gradient, loss) per epoch."""
+def float32_objective(net_cfg, Z, y):
+    """The model's float32 swarm scorer, called on one particle at a time:
+    the same score as inside a swarm, since no particle affects another's."""
+    score = _swarm_scorer(net_cfg, Z, y)
+    return lambda p: float(score(p[None, :])[0])
+
+
+def reference_train(X, y, net_cfg, pso_cfg, bp_cfg, objective):
+    """Per-particle PSO on `objective(net_cfg, Z, y)`, the float64 loss of
+    its best position, then two calls (gradient, loss) per epoch."""
     Z = MinMaxScaler.fit(X).transform(X, clip=False)
-    best, best_val, pso_trace = reference_pso(
-        lambda p: reference_bce_loss(net_cfg, p, Z, y), net_cfg.n_params(),
-        pso_cfg)
+    best, _, pso_trace = reference_pso(objective(net_cfg, Z, y),
+                                       net_cfg.n_params(), pso_cfg)
     params = best.copy()
-    best_params, best_loss = params.copy(), best_val
+    best_params = params.copy()
+    best_loss = reference_bce_loss(net_cfg, params, Z, y)
     bp_trace = []
     for _ in range(bp_cfg.epochs):
         params = params - bp_cfg.learning_rate * reference_gradient(
@@ -298,7 +313,7 @@ def test_train_equals_per_particle_reference(hidden):
     bp_cfg = BpConfig(learning_rate=0.2, epochs=40)
     net = train_bp_pso(X, y, net_cfg, pso_cfg, bp_cfg, seed=12)
     params, pso_trace, bp_trace, final_loss = reference_train(
-        X, y, net_cfg, pso_cfg, bp_cfg)
+        X, y, net_cfg, pso_cfg, bp_cfg, float32_objective)
     assert np.array_equal(net.params, params)
     assert net.history["pso_best"] == pso_trace
     assert net.history["bp_loss"] == bp_trace
@@ -337,6 +352,39 @@ def test_bce_loss_equals_reference_on_binary_labels(hidden):
             ref = reference_bce_loss(cfg, P[k], X, labels)
             assert bce_loss(cfg, P[k], X, labels) == ref
             assert losses[k] == ref
+
+
+@pytest.mark.parametrize("hidden", [(1,), (8,), (12,), (4, 3)])
+def test_swarm_scorer_scores_each_particle_alone(hidden):
+    rng = np.random.default_rng(18)
+    cfg = NetConfig(9, hidden)
+    Z = rng.uniform(0, 1, size=(240, 9))
+    y = rng.integers(0, 2, size=240).astype(float)
+    swarm = rng.uniform(-3, 3, size=(30, cfg.n_params()))
+    score = _swarm_scorer(cfg, Z, y)
+    scores = score(swarm)
+    assert scores.shape == (30,) and scores.dtype == np.float64
+    for k in range(30):
+        assert score(swarm[k:k + 1])[0] == scores[k]
+        assert score(swarm[[k, (k + 1) % 30, k]])[[0, 2]].tolist() == \
+            [scores[k]] * 2
+
+
+@pytest.mark.parametrize("hidden", [(1,), (8,), (12,), (4, 3)])
+def test_swarm_scorer_agrees_with_float64_loss(hidden):
+    # saturated outputs included: the float64 loss caps each point at
+    # -log(1e-12), and so does the scorer
+    rng = np.random.default_rng(19)
+    cfg = NetConfig(3, hidden)
+    X = rng.standard_normal((70, 3)) * [1.0, 40.0, 0.3]
+    y = rng.integers(0, 2, size=70).astype(float)
+    P = (rng.standard_normal((20, cfg.n_params()))
+         * np.repeat([[3.0], [30.0]], 10, axis=0))
+    p = forward(cfg, P, X)
+    saturated = (p <= 1e-12) | (p >= 1 - 1e-12)
+    assert saturated.any() and not saturated.all()
+    assert np.allclose(_swarm_scorer(cfg, X, y)(P), bce_loss(cfg, P, X, y),
+                       rtol=1e-5, atol=1e-6)
 
 
 def test_loss_and_gradient_equal_separate_calls():
@@ -387,7 +435,7 @@ def test_lockstep_nets_equal_per_net_reference(hidden):
     assert (improved.any(axis=0) & ~improved.all(axis=0)).any()
     for net, X, y, pso_cfg in zip(nets, Xs, ys, pso_cfgs):
         params, pso_trace, bp_trace, final_loss = reference_train(
-            X, y, net_cfg, pso_cfg, bp_cfg)
+            X, y, net_cfg, pso_cfg, bp_cfg, float32_objective)
         assert np.array_equal(net.params, params)
         assert net.history["pso_best"] == pso_trace
         assert net.history["bp_loss"] == bp_trace
@@ -460,15 +508,46 @@ def test_train_without_epochs_keeps_pso_best():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((40, 2))
     y = (X[:, 0] > 0).astype(float)
-    net = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO,
-                       BpConfig(epochs=0), seed=8)
+    cfg = NetConfig(2, (3,))
+    net = train_bp_pso(X, y, cfg, TINY_PSO, BpConfig(epochs=0), seed=8)
+    Z = MinMaxScaler.fit(X).transform(X, clip=False)
+    best, best_val, trace = pso_optimize(_swarm_scorer(cfg, Z, y),
+                                         cfg.n_params(), TINY_PSO)
     assert net.history["bp_loss"] == []
-    assert net.history["final_loss"] == net.history["pso_best"][-1]
+    assert np.array_equal(net.params, best)
+    assert net.history["pso_best"] == trace and trace[-1] == best_val
+    # the float32 ranking picks the start; its reported loss is float64
+    assert net.history["final_loss"] == bce_loss(cfg, best, Z, y)
 
 
 def test_train_single_class_raises():
     with pytest.raises(SingleClass):
         train_bp_pso(np.ones((10, 1)), np.ones(10))
+
+
+NON_BINARY_LABELS = [[0, 2], [-1, 1], [0, 0.5, 1]]
+
+
+@pytest.mark.parametrize("values", NON_BINARY_LABELS)
+def test_train_rejects_labels_other_than_0_1(values):
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((30, 2))
+    y = np.resize(values, 30)
+    with pytest.raises(BadLabels):
+        train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP)
+    with pytest.raises(BadLabels):
+        _train_nets([X, X], [np.resize([0, 1], 30), y], NetConfig(2, (3,)),
+                    [TINY_PSO, TINY_PSO], TINY_BP)
+
+
+@pytest.mark.parametrize("values", NON_BINARY_LABELS)
+def test_scenario_matrix_rejects_labels_other_than_0_1(values):
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((60, 2))
+    y = np.resize(values, 60)
+    with pytest.raises(BadLabels):
+        scenario_matrix(X, y, {"all": [0, 1]}, seeds=(0, 1),
+                        pso_cfg=TINY_PSO, bp_cfg=TINY_BP)
 
 
 def test_save_load_roundtrip():
