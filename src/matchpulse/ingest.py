@@ -212,10 +212,13 @@ class StandardizedFrame:
         return self.z.shape[0]
 
 
-def _read(stream):
-    """Read the header and the non-blank rows: (schema field -> column
-    index, row numbers, cells column by column)."""
-    reader = csv.reader(stream)
+# non-blank rows read and converted at a time: one block of cell strings is
+# alive at once, beside the values converted so far
+CHUNK_ROWS = 1024
+
+
+def _header(reader):
+    """Schema field -> column index, from the header row."""
     header = next(reader, None)
     if header is None:
         raise EmptyInput("no header row")
@@ -225,7 +228,12 @@ def _read(stream):
     for f in REQUIRED_FIELDS:
         if f not in index:
             raise MissingColumn(DEFAULT_SCHEMA[f])
-    width = max(index.values()) + 1
+    return index
+
+
+def _blocks(reader, width):
+    """The non-blank rows, CHUNK_ROWS at a time: (row numbers, rows), each
+    row padded to `width` cells."""
     row_nos, rows = [], []
     for row_no, row in enumerate(reader, start=2):
         if "".join(row).strip():
@@ -233,9 +241,11 @@ def _read(stream):
                 row += [""] * (width - len(row))
             row_nos.append(row_no)
             rows.append(row)
-    if not rows:
-        raise EmptyInput("no data rows")
-    return index, row_nos, list(zip(*rows))
+            if len(rows) == CHUNK_ROWS:
+                yield row_nos, rows
+                row_nos, rows = [], []
+    if rows:
+        yield row_nos, rows
 
 
 def _convert(cells, convert, required, dtype):
@@ -260,6 +270,45 @@ def _convert(cells, convert, required, dtype):
     return np.fromiter(map(values.__getitem__, cells), dtype, len(cells)), first
 
 
+def _read(stream):
+    """(point table in file order, row number of each point, faults).
+
+    A fault is (point index, check rank, error), for the first bad cell
+    of each column in each block.
+    """
+    reader = csv.reader(stream)
+    index = _header(reader)
+    checks = [(rank, f, convert, f in REQUIRED_FIELDS,
+               object if f in TEXT_FIELDS else float)
+              for rank, (f, convert) in enumerate(_CHECKS.items()) if f in index]
+    parts = {f: [] for f in index}
+    row_nos, faults = [], []
+    for block_nos, rows in _blocks(reader, width=max(index.values()) + 1):
+        cells = list(zip(*rows))
+        start = sum(map(len, row_nos))
+        for rank, f, convert, required, dtype in checks:
+            col = cells[index[f]]
+            part, bad = _convert(col, convert, required, dtype)
+            parts[f].append(part)
+            if bad is not None:
+                faults.append((start + bad, rank, BadToken(
+                    block_nos[bad], DEFAULT_SCHEMA[f], col[bad].strip())))
+        row_nos.append(np.array(block_nos))
+        del rows, cells, col    # before the next block is read
+    if not row_nos:
+        raise EmptyInput("no data rows")
+    row_nos = np.concatenate(row_nos)
+
+    # np.zeros: np.empty is much slower to set up object fields
+    table = np.zeros(len(row_nos), POINT_DTYPE)
+    for f in DEFAULT_SCHEMA:
+        if f in parts:
+            np.concatenate(parts.pop(f), out=table[f])
+        else:
+            table[f] = None if f in TEXT_FIELDS else np.nan
+    return table, row_nos, faults
+
+
 def parse_csv(source) -> list:
     """Parse a point-by-point CSV into one MatchData per distinct match_id.
 
@@ -268,45 +317,36 @@ def parse_csv(source) -> list:
     never zero; "nan" is missing too, while an infinite number is a bad
     token. The match_id, point_no and point_victor cells must not be
     empty. Within a match, point_no must strictly increase from row to
-    row. Of several faults, the one in the earliest row is raised.
+    row. Of several faults, the one in the earliest row is raised; a read
+    error anywhere in the file comes before all of them.
     """
     try:
         if isinstance(source, (str, os.PathLike)):
             with open(source, newline="", encoding="utf-8") as stream:
-                index, row_nos, cells = _read(stream)
+                table, row_nos, faults = _read(stream)
         else:
-            index, row_nos, cells = _read(source)
+            table, row_nos, faults = _read(source)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise MatchPulseError(f"cannot read input: {exc}") from None
 
-    columns, faults = {}, []
-    for rank, (f, convert) in enumerate(_CHECKS.items()):
-        if f in index:
-            col = cells[index[f]]
-            columns[f], bad = _convert(col, convert, f in REQUIRED_FIELDS,
-                                       object if f in TEXT_FIELDS else float)
-            if bad is not None:
-                faults.append((bad, rank, BadToken(
-                    row_nos[bad], DEFAULT_SCHEMA[f], col[bad].strip())))
-    del cells, col      # the cell strings: most of the memory a parse takes
-
     # group rows by match in order of first appearance, file order within
-    ids = columns["match_id"]
+    ids = table["match_id"]
     code_of = {}
     codes = np.array([code_of.setdefault(m, len(code_of)) for m in ids])
     order = np.argsort(codes, kind="stable")
-    point_no = columns["point_no"][order]
+    point_no = table["point_no"][order]
     same_match = codes[order][1:] == codes[order][:-1]
     steps = np.flatnonzero(same_match & (np.diff(point_no) <= 0))
     if len(steps):
         j = steps[np.argmin(order[steps + 1])]
         i = order[j + 1]
         faults.append((i, len(_CHECKS), PointOrder(
-            row_nos[i], ids[i], int(point_no[j + 1]), int(point_no[j]))))
+            int(row_nos[i]), ids[i], int(point_no[j + 1]), int(point_no[j]))))
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
-    table = point_table(columns)[order]
+    if (np.diff(codes) < 0).any():
+        table = table[order]
     bounds = np.cumsum(np.bincount(codes))[:-1]
     return [MatchData(m, points)
             for m, points in zip(code_of, np.split(table, bounds))]

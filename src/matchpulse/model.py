@@ -130,6 +130,10 @@ class TrainedNet:
                              ("scaler maxs", maxs)):
             if not np.isfinite(values).all():
                 raise BadModel(f"{name} must be finite")
+        with np.errstate(over="ignore"):
+            span = maxs - mins
+        if not (np.isfinite(span) & (span >= 0)).all():
+            raise BadModel("scaler maxs - mins must be finite and >= 0")
         return cls(cfg, params, MinMaxScaler(mins, maxs),
                    doc.get("history", {}), doc.get("seed", 0))
 

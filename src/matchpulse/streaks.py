@@ -310,8 +310,9 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
     n = int(counts.sum())
     k = len(rows)
     log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    # vectorized over replicates: allocate column-1 mass row by row
-    remaining_pop = np.full(replicates, n)
+    # vectorized over replicates: allocate column-1 mass row by row; the
+    # remaining population is the same for every replicate
+    remaining_pop = n
     remaining_col = np.full(replicates, col1)
     lp = np.full(replicates, lfm - lfn)
     for i in range(k):
@@ -320,9 +321,11 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
             x = remaining_col
         else:
             x = rng.hypergeometric(r, remaining_pop - r, remaining_col)
-        lp -= log_fact[x] + log_fact[r - x]
-        remaining_col = remaining_col - x
-        remaining_pop = remaining_pop - r
+        t = log_fact[x]
+        t += log_fact[r - x]
+        lp -= t
+        remaining_col -= x
+        remaining_pop -= r
     hits = int(np.sum(lp <= obs_lp + tol))
     p = hits / replicates
     se = math.sqrt(max(p * (1 - p), 1.0 / replicates) / replicates)

@@ -343,6 +343,95 @@ def test_bad_rows_exit_1_without_traceback(synthetic_csv, tmp_path, edit):
     assert "at row" in err
 
 
+def _bad_token(lines):
+    col = lines[0].split(",").index("p1_score")
+    cells = lines[5].split(",")
+    cells[col] = "45"
+    lines[5] = ",".join(cells)
+
+
+def _truncated_row(lines):
+    lines[7] = lines[7][:len(lines[7]) // 2]
+
+
+def _short_row(lines):
+    # no serve/return depths or distances: the distances are imputed
+    lines[8] = ",".join(lines[8].split(",")[:-5])
+
+
+def _blank_rows(lines):
+    lines[4:4] = ["", ",,,", "   "]
+    lines.append("")
+
+
+def _repeated_point_no(lines):
+    lines.insert(10, lines[9])
+
+
+def _non_utf8_byte(lines):
+    lines[6] = lines[6].replace("synthetic", "synth\udcffetic", 1)
+
+
+# every subcommand that reads --input, with cheap flags; `synth` reads none
+SWEEP_ARGV = [
+    ["ingest"], ["test-momentum", "--exact", "--replicates", "1000"],
+    ["select-features"], ["momentum"],
+    ["changepoints", "--target-changepoints", "3", "--pooled-weights"],
+    ["shift"], ["train", *FAST_MODEL],
+    ["evaluate", "--eval-seeds", "1", *FAST_MODEL],
+    ["shap", "--background", "5", "--shap-points", "1", *FAST_MODEL],
+    ["report", "--background", "5", "--shap-points", "1", *FAST_MODEL],
+]
+
+SWEEP = """
+import json, sys
+from matchpulse.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+@pytest.fixture(scope="module")
+def sweep_setup(tmp_path_factory):
+    """(the lines of a short two-match CSV, a model.json trained on it)."""
+    root = tmp_path_factory.mktemp("sweep")
+    path = root / "points.csv"
+    path.write_text(corpus_csv(build_corpus(n_matches=2, T=60, seed=3)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--input", str(path), "--out", str(root / "m"),
+                     *FAST_MODEL]) == 0
+    return path.read_text().splitlines(), str(root / "m" / "model.json")
+
+
+@pytest.mark.parametrize("edit", [_bad_token, _truncated_row, _short_row,
+                                  _blank_rows, _repeated_point_no,
+                                  _non_utf8_byte])
+def test_every_command_survives_a_mutated_csv(sweep_setup, tmp_path, edit):
+    # one fresh interpreter per CSV runs every subcommand on it in turn
+    lines, model = sweep_setup
+    lines = list(lines)
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    argvs = [argv[:1] + ["--input", str(bad), "--out", str(tmp_path / str(i))]
+             + (["--model", model] if argv[0] == "shap" else []) + argv[1:]
+             for i, argv in enumerate(SWEEP_ARGV)]
+    proc = subprocess.run([sys.executable, "-c", SWEEP, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert set(codes) <= {0, 1, 2}, codes
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == codes.count(1), proc.stderr
+
+
 def test_wide_net_trains_without_warnings(csv_path, tmp_path):
     # 64 hidden units put the PSO logits far outside the float32 scorer's
     # clip range (about ±195 at this corpus's first particles)
@@ -446,6 +535,21 @@ def test_shap_rejects_broken_model_without_traceback(csv_path, tmp_path, capsys)
                                 + FAST_MODEL)
         assert code == 1, name
         assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_shap_rejects_overflowing_scaler_span_without_warnings(
+        shap_fuzz_setup, tmp_path):
+    # finite bounds whose span maxs - mins overflows to inf would scale
+    # the column to 0 with a RuntimeWarning
+    shap, text, _ = shap_fuzz_setup
+    doc = json.loads(text)
+    doc["scaler"]["mins"][0], doc["scaler"]["maxs"][0] = -1.7e308, 1.7e308
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, err = run_process(shap + ["--model", str(model)])
+    assert code == 1
+    assert err.startswith("error:") and "scaler" in err, err
+    assert "Warning" not in err
 
 
 def test_report_parses_input_once(csv_path, tmp_path, capsys, monkeypatch):

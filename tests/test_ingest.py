@@ -1,12 +1,13 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_match, corpus_csv
+from conftest import build_corpus, build_match, corpus_csv
 from matchpulse import ingest
 from matchpulse.errors import (
     BadToken,
@@ -393,9 +394,9 @@ FUZZ_EDITS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(FUZZ_EDITS, min_size=1, max_size=6))
-def test_parse_and_derive_raise_only_domain_errors(edits):
+def edited_csv(edits):
+    """FUZZ_ROWS as a CSV stream after the edits: set a cell, truncate a
+    row, drop a column, insert a blank row or set a row's match id."""
     rows = [list(r) for r in FUZZ_ROWS]
     for op, *args in edits:
         if op == "cell":
@@ -405,16 +406,169 @@ def test_parse_and_derive_raise_only_domain_errors(edits):
         elif op == "truncate":
             i, n = args
             rows[i] = rows[i][:n]
-        else:
+        elif op == "drop":
             rows = [r[:args[0]] + r[args[0] + 1:] for r in rows]
+        elif op == "blank":
+            i, cells = args
+            rows.insert(min(i, len(rows)), cells)
+        else:
+            i, match_id = args
+            if rows[i]:
+                rows[i][0] = match_id
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     buf.seek(0)
+    return buf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FUZZ_EDITS, min_size=1, max_size=6))
+def test_parse_and_derive_raise_only_domain_errors(edits):
     try:
-        for m in parse_csv(buf):
+        for m in parse_csv(edited_csv(edits)):
             derive_features(m)
     except MatchPulseError:
         pass
+
+
+def _reference_read(stream):
+    """Read the header and the non-blank rows: (schema field -> column
+    index, row numbers, cells column by column)."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInput("no header row")
+    header = [h.strip() for h in header]
+    index = {f: header.index(name) for f, name in ingest.DEFAULT_SCHEMA.items()
+             if name in header}
+    for f in ingest.REQUIRED_FIELDS:
+        if f not in index:
+            raise MissingColumn(ingest.DEFAULT_SCHEMA[f])
+    width = max(index.values()) + 1
+    row_nos, rows = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if "".join(row).strip():
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            row_nos.append(row_no)
+            rows.append(row)
+    if not rows:
+        raise EmptyInput("no data rows")
+    return index, row_nos, list(zip(*rows))
+
+
+def reference_parse_csv(stream):
+    """The whole-file parse parse_csv once was, kept as an oracle: every
+    cell of the file is read as a string before any column is converted,
+    each column in one `ingest._convert` call."""
+    try:
+        index, row_nos, cells = _reference_read(stream)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise MatchPulseError(f"cannot read input: {exc}") from None
+
+    columns, faults = {}, []
+    for rank, (f, convert) in enumerate(ingest._CHECKS.items()):
+        if f in index:
+            col = cells[index[f]]
+            columns[f], bad = ingest._convert(
+                col, convert, f in ingest.REQUIRED_FIELDS,
+                object if f in ingest.TEXT_FIELDS else float)
+            if bad is not None:
+                faults.append((bad, rank, BadToken(
+                    row_nos[bad], ingest.DEFAULT_SCHEMA[f], col[bad].strip())))
+
+    ids = columns["match_id"]
+    code_of = {}
+    codes = np.array([code_of.setdefault(m, len(code_of)) for m in ids])
+    order = np.argsort(codes, kind="stable")
+    point_no = columns["point_no"][order]
+    same_match = codes[order][1:] == codes[order][:-1]
+    steps = np.flatnonzero(same_match & (np.diff(point_no) <= 0))
+    if len(steps):
+        j = steps[np.argmin(order[steps + 1])]
+        i = order[j + 1]
+        faults.append((i, len(ingest._CHECKS), PointOrder(
+            row_nos[i], ids[i], int(point_no[j + 1]), int(point_no[j]))))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+
+    table = ingest.point_table(columns)[order]
+    bounds = np.cumsum(np.bincount(codes))[:-1]
+    return [ingest.MatchData(m, points)
+            for m, points in zip(code_of, np.split(table, bounds))]
+
+
+DEFAULT_CHUNK_ROWS = ingest.CHUNK_ROWS
+
+
+def _outcome(parse, text):
+    """(matches, None) of a parse, or (None, (error class, message))."""
+    try:
+        return parse(io.StringIO(text)), None
+    except MatchPulseError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_parse(text):
+    """parse_csv at several block sizes against the whole-file oracle:
+    every field bit for bit (object fields by value), or the same error."""
+    want, want_error = _outcome(reference_parse_csv, text)
+    for size in (1, 2, 7, DEFAULT_CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "CHUNK_ROWS", size)
+            got, got_error = _outcome(parse_csv, text)
+        assert got_error == want_error, size
+        if want is None:
+            continue
+        assert [m.match_id for m in got] == [m.match_id for m in want], size
+        for ours, ref in zip(got, want):
+            assert ours.points.dtype == ref.points.dtype
+            for f in ingest.DEFAULT_SCHEMA:
+                if f in ingest.TEXT_FIELDS:
+                    assert ours.points[f].tolist() == ref.points[f].tolist()
+                else:
+                    assert ours.points[f].tobytes() == ref.points[f].tobytes(), f
+
+
+DIFF_EDITS = st.one_of(
+    FUZZ_EDITS,
+    st.tuples(st.just("blank"), st.integers(1, 9),
+              st.sampled_from([[], [""], [" "], ["", "", ""], [" ", "\t"]])),
+    st.tuples(st.just("match"), st.integers(1, 8),
+              st.sampled_from(["synthetic-0001", "m2", " m2", "m3"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DIFF_EDITS, min_size=1, max_size=8))
+def test_chunked_parse_equals_whole_file_parse(edits):
+    assert_same_parse(edited_csv(edits).getvalue())
+
+
+@pytest.mark.parametrize("tail", [
+    "",
+    "m1,500,x\n",                        # a bad victor after 300 good rows
+    "m1,300,1\nm1,301,x\n",              # a repeated point_no comes first
+    "m2,1,1\n\n,\nm1,301,2\nm2,2,1\n",   # interleaved, with blank rows
+])
+def test_chunked_parse_equals_whole_file_parse_across_blocks(tail):
+    rows = [f"m1,{t},{1 + t % 2}\n" for t in range(1, 301)]
+    assert_same_parse(MINIMAL_HEADER + "".join(rows) + tail)
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_point_table(tmp_path):
+    # the bench tournament's size: a parse that held every cell as a
+    # Python string would peak at over 4x the tables it returns
+    path = tmp_path / "points.csv"
+    path.write_text(corpus_csv(build_corpus(n_matches=31, T=300, seed=1)))
+    tracemalloc.start()
+    try:
+        matches = parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(m.points.nbytes for m in matches)
+    assert peak <= 3 * table_bytes, peak / table_bytes
 
 
 def test_write_csv_rows_writes_floats_as_float_repr():

@@ -580,9 +580,12 @@ def _broken(doc, edit):
     lambda d: d["params"].__setitem__(0, float("-inf")),
     lambda d: d["scaler"]["mins"].__setitem__(1, float("nan")),
     lambda d: d["scaler"]["maxs"].__setitem__(0, float("inf")),
+    lambda d: d["scaler"].update(mins=[-1.7e308, 0.0], maxs=[1.7e308, 1.0]),
+    lambda d: d["scaler"]["mins"].__setitem__(1, 2.0),
 ], ids=["no-params", "no-maxs", "no-config", "params-short", "params-text",
         "mins-short", "hidden-text", "input-dim-float", "params-nan",
-        "params-inf", "mins-nan", "maxs-inf"])
+        "params-inf", "mins-nan", "maxs-inf", "span-overflows",
+        "span-negative"])
 def test_from_json_rejects_models_that_do_not_fit(edit):
     net = TrainedNet(NetConfig(2, (3,)), np.zeros(NetConfig(2, (3,)).n_params()),
                      MinMaxScaler(np.zeros(2), np.ones(2)))
