@@ -9,6 +9,7 @@ command-line flags take precedence.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -22,20 +23,36 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import ewm, ingest, pipeline, streaks, synth
-from .errors import BadModel, EmptyInput, MatchPulseError, SingleClass
-from .explain import ShapConfig, mean_abs_shap, shapley_values
-from .model import (
-    BpConfig,
-    NetConfig,
-    PsoConfig,
-    TrainedNet,
-    forward,
-    scenario_matrix,
-    stratified_split,
-    train_bp_pso,
-)
-from .stats import classification_metrics, single_class, stepwise_select
+from . import DEFAULT_BASE_FEATURES, DEFAULT_CAP, DEFAULT_EPSILON, SCENARIOS
+from .errors import BadModel, DimMismatch, EmptyInput, MatchPulseError, SingleClass
+
+
+def _register_lazily(*names):
+    """Put each package module in sys.modules and on the package now, but
+    run its body only on its first attribute access.
+
+    Each CLI call runs one subcommand in a fresh process, so it executes
+    just the modules that subcommand uses. A module imported before the CLI
+    is kept as it is.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+_register_lazily("changepoint", "ewm", "explain", "ingest", "model",
+                 "pipeline", "shift", "stats", "streaks", "synth")
+
+# binds the registered modules without running them
+from . import ewm, explain, ingest, model, pipeline, stats, streaks, synth  # noqa: E402
+
 
 PLOT_STUB = """\
 # Minimal plotting helper for the CSV artifacts in this directory.
@@ -203,7 +220,7 @@ def cmd_select_features(args, run):
     frames = run.frames
     X = np.vstack([f.features for f in frames])
     y = np.concatenate([f.outcome for f in frames])
-    trace = stepwise_select(X, y, feature_ids=list(ingest.FEATURE_IDS))
+    trace = stats.stepwise_select(X, y, feature_ids=list(ingest.FEATURE_IDS))
     _write_json(args.out, "selection.json",
                 {"schema_version": 1, **trace.to_json()})
     _summary(command="select-features", selected=trace.final_features,
@@ -254,24 +271,24 @@ def cmd_shift(args, run):
 
 
 def _model_configs(args, input_dim):
-    return (NetConfig(input_dim, (args.hidden,)),
-            PsoConfig(swarm=args.swarm, iterations=args.pso_iterations,
-                      seed=args.seed),
-            BpConfig(learning_rate=args.learning_rate, epochs=args.epochs))
+    return (model.NetConfig(input_dim, (args.hidden,)),
+            model.PsoConfig(swarm=args.swarm, iterations=args.pso_iterations,
+                            seed=args.seed),
+            model.BpConfig(learning_rate=args.learning_rate, epochs=args.epochs))
 
 
 def cmd_train(args, run):
     X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
-    train_idx, test_idx = stratified_split(y, args.split, args.seed)
-    if single_class(y[test_idx]):
+    train_idx, test_idx = model.stratified_split(y, args.split, args.seed)
+    if stats.single_class(y[test_idx]):
         raise SingleClass("test split lost a class")
     net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
-    net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
-                       net_cfg, pso_cfg, bp_cfg, seed=args.seed)
+    net = model.train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
+                             net_cfg, pso_cfg, bp_cfg, seed=args.seed)
     _write_json(args.out, "model.json", net.to_json())
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
-    metrics = classification_metrics(scores, y[test_idx])
+    metrics = stats.classification_metrics(scores, y[test_idx])
     _write_json(args.out, "train_metrics.json", {
         "schema_version": 1, "match_id": run.match.match_id,
         "scenario": args.scenario,
@@ -285,11 +302,11 @@ def cmd_train(args, run):
 def cmd_evaluate(args, run):
     X, _, y, col_map = run.scenario
     seeds = list(range(args.seed, args.seed + args.eval_seeds))
-    net_builder = lambda dim: NetConfig(dim, (args.hidden,))
-    pso_cfg = PsoConfig(swarm=args.swarm, iterations=args.pso_iterations)
-    bp_cfg = BpConfig(learning_rate=args.learning_rate, epochs=args.epochs)
-    table, per_seed = scenario_matrix(X, y, col_map, args.split, seeds,
-                                      net_builder, pso_cfg, bp_cfg)
+    net_builder = lambda dim: model.NetConfig(dim, (args.hidden,))
+    pso_cfg = model.PsoConfig(swarm=args.swarm, iterations=args.pso_iterations)
+    bp_cfg = model.BpConfig(learning_rate=args.learning_rate, epochs=args.epochs)
+    table, per_seed = model.scenario_matrix(X, y, col_map, args.split, seeds,
+                                            net_builder, pso_cfg, bp_cfg)
     _write_json(args.out, "scenario_metrics.json", {
         "schema_version": 1, "match_id": run.match.match_id, "seeds": seeds,
         "scenarios": {sid: table[sid].to_json() for sid in col_map},
@@ -307,7 +324,7 @@ def cmd_shap(args, run):
     X, names, y, col_map = run.scenario
     cols = col_map[args.scenario]
     col_names = [names[c] for c in cols]
-    train_idx, test_idx = stratified_split(y, args.split, args.seed)
+    train_idx, test_idx = model.stratified_split(y, args.split, args.seed)
     if not len(test_idx):
         raise EmptyInput(f"--split {args.split} leaves no test rows to attribute")
     try:
@@ -315,20 +332,25 @@ def cmd_shap(args, run):
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise BadModel(f"cannot read model {args.model!r}: {exc}") from None
-    net = TrainedNet.from_json(doc)
+    net = model.TrainedNet.from_json(doc)
+    if net.config.input_dim != len(cols):
+        raise DimMismatch(
+            f"model {args.model!r} takes {net.config.input_dim} inputs, but "
+            f"scenario {args.scenario!r} has {len(cols)} columns")
     rng = np.random.default_rng(args.seed)
     bg_idx = rng.choice(train_idx, size=min(args.background, len(train_idx)),
                         replace=False)
     # the scaler works cell by cell, so the background and each instance
     # are scaled once instead of every stacked coalition row
-    cfg = ShapConfig(net.scaler.transform(X[np.ix_(bg_idx, cols)]))
+    cfg = explain.ShapConfig(net.scaler.transform(X[np.ix_(bg_idx, cols)]))
     sample = test_idx[:args.shap_points]
     reports = [
-        shapley_values(lambda rows: forward(net.config, net.params, rows),
-                       net.scaler.transform(X[i, cols])[0], cfg, col_names)
+        explain.shapley_values(
+            lambda rows: model.forward(net.config, net.params, rows),
+            net.scaler.transform(X[i, cols])[0], cfg, col_names)
         for i in sample
     ]
-    ranking = mean_abs_shap(reports)
+    ranking = explain.mean_abs_shap(reports)
     _write_csv_rows(args.out, "shap.csv", ["feature", "mean_abs_phi", "rank"],
                     [(f, v, i + 1) for i, (f, v) in enumerate(ranking)])
     _write_csv_rows(
@@ -389,14 +411,18 @@ _POSITIVE_REAL = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _CAP = _checked(int, lambda v: v >= 2, ">= 2")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "between 0 and 1")
 _DRIFT = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_REPLICATES = _checked(int, lambda v: v >= 1000, ">= 1000")
 
 
 def _feature_list(text):
-    """argparse type: a non-empty comma-separated list of feature ids."""
+    """argparse type: a non-empty comma-separated list of distinct feature ids."""
     ids = [f.strip() for f in text.split(",") if f.strip()]
     if not ids:
         raise argparse.ArgumentTypeError(
             f"must name at least one feature id, got {text!r}")
+    if len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(
+            f"must name each feature id once, got {text!r}")
     return ids
 
 
@@ -457,10 +483,10 @@ def build_parser():
 
     def add_momentum_opts(p):
         p.add_argument("--features", type=_feature_list,
-                       default=",".join(pipeline.DEFAULT_BASE_FEATURES),
+                       default=",".join(DEFAULT_BASE_FEATURES),
                        help="comma-separated feature ids for the momentum composite")
         p.add_argument("--epsilon", type=_POSITIVE_REAL,
-                       default=ewm.DEFAULT_EPSILON, help="entropy log offset")
+                       default=DEFAULT_EPSILON, help="entropy log offset")
         p.add_argument("--pooled-weights", action="store_true",
                        help="compute entropy weights across all matches")
 
@@ -474,7 +500,7 @@ def build_parser():
 
     def add_model_opts(p):
         p.add_argument("--scenario", default="base_m_cp_v",
-                       choices=list(pipeline.SCENARIOS))
+                       choices=list(SCENARIOS))
         p.add_argument("--split", type=_FRACTION, default=0.8,
                        help="training fraction of the stratified split")
         p.add_argument("--hidden", type=_POSITIVE, default=8,
@@ -487,11 +513,11 @@ def build_parser():
                        help="gradient-descent epochs after PSO")
 
     def add_streak_opts(p):
-        p.add_argument("--cap", type=_CAP, default=streaks.DEFAULT_CAP,
+        p.add_argument("--cap", type=_CAP, default=DEFAULT_CAP,
                        help="pooling cap for streak lengths")
         p.add_argument("--exact", action="store_true",
                        help="always run the Monte-Carlo exact test")
-        p.add_argument("--replicates", type=_POSITIVE, default=100_000,
+        p.add_argument("--replicates", type=_REPLICATES, default=100_000,
                        help="Monte-Carlo replicates of the exact test")
 
     def add_shap_opts(p):

@@ -37,6 +37,13 @@ class PointOrder(MatchPulseError):
             f"{previous} of match {match_id!r} (must strictly increase)")
 
 
+class NonFiniteFeature(MatchPulseError):
+    def __init__(self, feature, point):
+        self.feature, self.point = feature, point
+        super().__init__(f"{feature} is not finite at point {point} "
+                         f"(its source cells are too large)")
+
+
 class UnknownColumn(MatchPulseError):
     def __init__(self, column_id):
         self.column_id = column_id

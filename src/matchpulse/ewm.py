@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_EPSILON
 from .errors import AllColumnsUninformative, ColumnMismatch
 from .ingest import StandardizedFrame
-
-DEFAULT_EPSILON = 1e-12
 
 
 @dataclass

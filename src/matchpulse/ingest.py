@@ -23,6 +23,7 @@ from .errors import (
     MatchPulseError,
     MissingColumn,
     MissingRequired,
+    NonFiniteFeature,
     PointOrder,
     UnknownColumn,
 )
@@ -395,6 +396,7 @@ _NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score_token", "x2"),
                      "p1_break_pt_won")]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge cells: X is checked
 def derive_features(m: MatchData) -> FeatureFrame:
     """Derive the 16 engineered features for every point of one match.
 
@@ -402,6 +404,7 @@ def derive_features(m: MatchData) -> FeatureFrame:
     differencing. Cumulative ratios (x10, x11) use running totals up to
     and including the current point, with 0/0 defined as 0. Ball speed
     and distance gaps are imputed with the match median and flagged.
+    Finite cells whose sums or products overflow raise NonFiniteFeature.
     """
     p = m.points
     missing = np.isnan([p[f] for f, _ in _NON_IMPUTABLE])
@@ -438,6 +441,10 @@ def derive_features(m: MatchData) -> FeatureFrame:
         0.0 + padded[:-2] + padded[1:-1] + padded[2:],          # x13
         dist, speed, speed * p["serve_no"],                     # x14..x16
     ])
+    bad = ~np.isfinite(X)
+    if bad.any():
+        t = int(bad.any(axis=1).argmax())
+        raise NonFiniteFeature(FEATURE_IDS[int(bad[t].argmax())], t + 1)
     outcome = (p["point_victor"] == 1).astype(int)
 
     return FeatureFrame(m.match_id, X, outcome, list(FEATURE_IDS), ORIENTATION, imputed)

@@ -11,18 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import changepoint, ewm, ingest, shift
+from . import DEFAULT_BASE_FEATURES, SCENARIOS, changepoint, ewm, ingest, shift
 from .errors import MatchPulseError
-
-# the selected feature set used as the base input layer
-DEFAULT_BASE_FEATURES = ["x3", "x4", "x6", "x7", "x9", "x10"]
-
-SCENARIOS = {
-    "base": [],
-    "base_m": ["M"],
-    "base_m_cp": ["M", "CP"],
-    "base_m_cp_v": ["M", "CP", "V"],
-}
 
 
 def pick_match(matches, match_id=None):

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_CAP
 from .errors import DegenerateMargins, EmptyStreaks
 
 EXTENSION = "extension"
 TERMINATION = "termination"
-
-DEFAULT_CAP = 7  # lengths >= cap pooled into one row (e.g. W7+)
 
 
 @dataclass

@@ -306,6 +306,59 @@ def test_train_loads_no_numpy_ma(csv_path, tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+EAGER = {"matchpulse", "matchpulse.cli", "matchpulse.errors"}
+MODULES_RUN = """\
+import contextlib, io, json, sys, types
+from matchpulse.cli import build_parser, main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        build_parser() if argv is None else main(argv)
+    except SystemExit:          # --help
+        pass
+# a lazily registered module not yet run is still a _LazyModule
+print(json.dumps(sorted(n for n, m in sys.modules.items()
+                        if n.split(".")[0] == "matchpulse"
+                        and type(m) is types.ModuleType)))
+"""
+
+
+def test_each_call_runs_only_the_modules_it_uses(csv_path, tmp_path):
+    model_chain = {"ingest", "ewm", "pipeline", "changepoint", "shift"}
+    cases = [
+        (None, set()),
+        (["--help"], set()),
+        (["test-momentum"], {"ingest", "streaks"}),
+        (["select-features"], {"ingest", "stats"}),
+        (["train", *FAST_MODEL], model_chain | {"model", "stats"}),
+    ]
+    for i, (argv, extra) in enumerate(cases):
+        if argv and argv[0] != "--help":
+            argv = argv + ["--input", csv_path, "--out", str(tmp_path / str(i))]
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_RUN, json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, check=True)
+        ran = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert ran == EAGER | {f"matchpulse.{m}" for m in extra}, argv
+
+
+def test_cli_import_registers_every_package_module():
+    # bench/tracing.py finds each span target as sys.modules["matchpulse.<m>"]
+    code = ("import json, pkgutil, sys, matchpulse.cli; "
+            "names = [m.name for m in pkgutil.iter_modules("
+            "sys.modules['matchpulse'].__path__)]; "
+            "print(json.dumps([names, [n for n in names "
+            "if 'matchpulse.' + n not in sys.modules], "
+            "sys.modules['matchpulse.model'].train_bp_pso.__module__]))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    names, missing, owner = json.loads(proc.stdout)
+    assert "model" in names and "synth" in names
+    assert missing == [] and owner == "matchpulse.model"
+
+
 def test_select_features_refusal_is_unchanged(tmp_path, capsys):
     # the bench tournament corpus (seed 1, 31x300, boost 0.1), on which
     # fit_logistic's absolute gradient-norm stop is never met
@@ -328,6 +381,32 @@ def _infinite_speed(lines):
     cells = lines[3].split(",")
     cells[col] = "inf"
     lines[3] = ",".join(cells)
+
+
+def test_ingest_refuses_overflowing_features(tmp_path):
+    m = build_match([1, 0] * 30, seed=4)
+    m.points["p1_distance_run"][[3, 4]] = 1.7e308
+    path = tmp_path / "huge.csv"
+    path.write_text(corpus_csv([m]))
+    out = tmp_path / "x"
+    code, err = run_process(["ingest", "--input", str(path), "--out", str(out)])
+    assert code == 1
+    assert err.splitlines() == ["error: x12 is not finite at point 5 "
+                                "(its source cells are too large)"]
+    assert not (out / "features.csv").exists()
+
+
+def test_shap_rejects_a_model_of_another_width(csv_path, tmp_path, capsys):
+    out = str(tmp_path / "train")
+    assert run(capsys, ["train", "--input", csv_path, "--out", out,
+                        *FAST_MODEL])[0] == 0
+    code, err = run_process(["shap", "--input", csv_path,
+                             "--out", str(tmp_path / "x"), "--scenario", "base",
+                             "--model", os.path.join(out, "model.json"),
+                             *FAST_MODEL])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "takes 9 inputs" in err and "'base' has 6 columns" in err
 
 
 @pytest.mark.parametrize("edit", [_swap_first_points, _infinite_speed])
@@ -739,6 +818,7 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
     ["train", "--split", "0"],
     ["test-momentum", "--cap", "0"],
     ["test-momentum", "--replicates", "0"],
+    ["test-momentum", "--replicates", "999"],
     ["train", "--swarm", "0"],
     ["train", "--hidden", "0"],
     ["evaluate", "--eval-seeds", "0"],
@@ -759,6 +839,7 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
     ["changepoints", "--drift", "nan"],
     ["changepoints", "--drift", "inf"],
     ["momentum", "--features", ","],
+    ["momentum", "--features", "x3,x3,x4"],
     ["momentum", "--epsilon", "-1"],
     ["synth", "--points", "0"],
     ["synth", "--matches", "0"],
@@ -779,6 +860,8 @@ def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     ("scenario=nope", "'scenario'"),
     ("split=2", "'split'"),
     ("features=,", "'features'"),
+    ("features=x3,x3,x4", "'features'"),
+    ("replicates=999", "'replicates'"),
     ("just text", "bad config line 1"),
 ])
 def test_config_bad_value_exits_1(line, named, csv_path, tmp_path, capsys):

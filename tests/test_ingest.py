@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from matchpulse.errors import (
     MatchPulseError,
     MissingColumn,
     MissingRequired,
+    NonFiniteFeature,
     PointOrder,
     UnknownColumn,
 )
@@ -199,6 +201,22 @@ def test_median_imputation_flagged():
     speeds = np.delete(m.points["ball_speed"], 2)
     assert frame.column("x15")[2] == np.median(speeds)
     assert frame.imputed["x15"] == [2]
+
+
+@pytest.mark.parametrize("field, points, feature, point", [
+    ("p1_distance_run", [3, 4], "x12", 5),   # the running sum overflows
+    ("ball_speed", [6], "x16", 7),           # speed * serve_no overflows
+])
+def test_overflowing_feature_is_a_domain_error(field, points, feature, point):
+    m = build_match([1, 0] * 30, seed=4)
+    m.points[field][points] = 1.7e308
+    m.points["serve_no"][points] = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFeature) as exc:
+            derive_features(m)
+    assert (exc.value.feature, exc.value.point) == (feature, point)
+    assert f"{feature} is not finite at point {point}" in str(exc.value)
 
 
 def _frame(cols, orientation=None):
