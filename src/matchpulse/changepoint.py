@@ -9,7 +9,7 @@ reset after a detection so the count reflects distinct shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,21 +78,30 @@ plt.xlabel(header[0]); plt.legend(); plt.show()
 
 
 def _atomic_write(out_dir, name, content):
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+    """Write out_dir/name through a temporary file and a rename; its path.
+
+    MatchPulseError naming the path if it cannot be written, e.g. when
+    out_dir is a file or lies under one.
+    """
+    path = os.path.join(out_dir, name)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        # mkstemp creates 0600; give the artifact the mode a plain open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, os.path.join(out_dir, name))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return os.path.join(out_dir, name)
+        os.makedirs(out_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            # mkstemp creates 0600; give the artifact the mode a plain open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise MatchPulseError(f"cannot write {path!r}: {exc}") from None
+    return path
 
 
 def _write_json(out_dir, name, obj):
@@ -411,6 +420,7 @@ _POSITIVE_REAL = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _CAP = _checked(int, lambda v: v >= 2, ">= 2")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "between 0 and 1")
 _DRIFT = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_FINITE = _checked(float, math.isfinite, "finite")
 _REPLICATES = _checked(int, lambda v: v >= 1000, ">= 1000")
 
 
@@ -472,7 +482,8 @@ def build_parser():
         p = parser.commands[name] = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_NON_NEGATIVE, default=0,
+                       help="master RNG seed")
         return p
 
     def add_input(p, required=True):
@@ -579,7 +590,7 @@ def build_parser():
     p.add_argument("--matches", type=_POSITIVE, default=31)
     p.add_argument("--points", type=_POSITIVE, default=235)
     p.add_argument("--p", type=_FRACTION, default=0.5, help="base win probability")
-    p.add_argument("--boost", type=float, default=0.0,
+    p.add_argument("--boost", type=_FINITE, default=0.0,
                    help="streak win-probability boost (0 = null process)")
 
     p = add("report", cmd_report, help="full pipeline for one match")

@@ -36,14 +36,10 @@ class WeightVector:
 class MomentumSeries:
     match_id: str
     values: np.ndarray
-    weights: WeightVector | None = None
 
     @property
     def T(self):
         return len(self.values)
-
-    def to_json(self):
-        return {"match_id": self.match_id, "values": self.values.tolist()}
 
 
 def entropy_weights(z: StandardizedFrame, epsilon=DEFAULT_EPSILON) -> WeightVector:
@@ -79,7 +75,7 @@ def momentum_series(z: StandardizedFrame, w: WeightVector,
         raise ColumnMismatch(f"weight columns absent from frame: {missing}")
     idx = [z.column_ids.index(c) for c in w.column_ids]
     values = z.z[:, idx] @ w.weights
-    return MomentumSeries(match_id, values, w)
+    return MomentumSeries(match_id, values)
 
 
 def pooled_entropy_weights(frames, epsilon=DEFAULT_EPSILON) -> WeightVector:

@@ -23,7 +23,6 @@ BLOCK_ROWS = 2048       # stacked rows per `predict` call
 @dataclass
 class ShapConfig:
     background: np.ndarray      # rows sampled from the training data
-    max_features: int = MAX_FEATURES
 
     def __post_init__(self):
         self.background = np.atleast_2d(np.asarray(self.background, dtype=float))
@@ -37,14 +36,6 @@ class ShapReport:
     base_value: float
     prediction: float
     feature_ids: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "phi": self.phi.tolist(),
-            "base_value": self.base_value,
-            "prediction": self.prediction,
-            "feature_ids": self.feature_ids,
-        }
 
 
 @dataclass(frozen=True)
@@ -113,8 +104,8 @@ def shapley_values(predict, instance, cfg: ShapConfig,
     """
     instance = np.asarray(instance, dtype=float)
     F = len(instance)
-    if F > min(cfg.max_features, MAX_FEATURES):
-        raise TooManyFeatures(F, min(cfg.max_features, MAX_FEATURES))
+    if F > MAX_FEATURES:
+        raise TooManyFeatures(F, MAX_FEATURES)
     if cfg.background.shape[1] != F:
         raise ValueError("background and instance disagree on feature count")
 

@@ -171,8 +171,6 @@ class FeatureFrame:
     match_id: str
     features: np.ndarray            # T x 16
     outcome: np.ndarray             # length T, {0,1}
-    feature_ids: list = field(default_factory=lambda: list(FEATURE_IDS))
-    orientation: dict = field(default_factory=dict)
     imputed: dict = field(default_factory=dict)   # feature id -> point indices
 
     @property
@@ -180,9 +178,9 @@ class FeatureFrame:
         return self.features.shape[0]
 
     def column(self, feature_id) -> np.ndarray:
-        if feature_id not in self.feature_ids:
+        if feature_id not in FEATURE_IDS:
             raise UnknownColumn(feature_id)
-        return self.features[:, self.feature_ids.index(feature_id)]
+        return self.features[:, FEATURE_IDS.index(feature_id)]
 
     def to_csv(self, stream):
         """Write one CSV row per point, in CSV_HEADER's columns (no header)."""
@@ -194,9 +192,9 @@ class FeatureFrame:
         """Per-match metadata; the values themselves go to `to_csv`."""
         return {
             "match_id": self.match_id,
-            "feature_ids": self.feature_ids,
+            "feature_ids": FEATURE_IDS,
             "T": self.T,
-            "orientation": self.orientation,
+            "orientation": ORIENTATION,
             "imputed": {k: list(v) for k, v in self.imputed.items()},
         }
 
@@ -447,19 +445,17 @@ def derive_features(m: MatchData) -> FeatureFrame:
         raise NonFiniteFeature(FEATURE_IDS[int(bad[t].argmax())], t + 1)
     outcome = (p["point_victor"] == 1).astype(int)
 
-    return FeatureFrame(m.match_id, X, outcome, list(FEATURE_IDS), ORIENTATION, imputed)
+    return FeatureFrame(m.match_id, X, outcome, imputed)
 
 
 def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:
     """Min-max standardize the requested columns into [0,1].
 
-    Positive columns map via (x-min)/(max-min), negative columns via
-    (max-x)/(max-min). Constant columns map to all-zeros.
+    Positive columns map via (x-min)/(max-min), negative columns
+    (NEGATIVE_FEATURES) via (max-x)/(max-min). Constant columns map to
+    all-zeros. UnknownColumn names the first id that is not a feature.
     """
     columns = list(columns)
-    for c in columns:
-        if c not in frame.feature_ids:
-            raise UnknownColumn(c)
     T = frame.T
     z = np.zeros((T, len(columns)))
     mins = np.zeros(len(columns))
@@ -469,7 +465,7 @@ def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:
         lo, hi = x.min(), x.max()
         mins[j], maxs[j] = lo, hi
         if hi > lo:
-            if frame.orientation.get(c, "positive") == "negative":
+            if c in NEGATIVE_FEATURES:
                 z[:, j] = (hi - x) / (hi - lo)
             else:
                 z[:, j] = (x - lo) / (hi - lo)

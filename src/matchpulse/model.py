@@ -17,7 +17,11 @@ import numpy as np
 from .errors import BadLabels, BadModel, DimMismatch, NonFiniteLoss, SingleClass
 from .stats import MetricsReport, classification_metrics, single_class
 
-SCENARIO_ORDER = ["base", "base_m", "base_m_cp", "base_m_cp_v"]
+# global-best PSO: velocity weights, the search box [-BOUND, BOUND] and the
+# per-dimension speed limit
+INERTIA, COGNITIVE, SOCIAL = 0.7, 1.5, 1.5
+BOUND = 3.0
+VELOCITY_CLAMP = 1.0
 
 
 @dataclass
@@ -37,11 +41,6 @@ class NetConfig:
 class PsoConfig:
     swarm: int = 30
     iterations: int = 100
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    bound: float = 3.0
-    velocity_clamp: float = 1.0
     seed: int = 0
 
 
@@ -275,16 +274,14 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
     It gets a read-only view of one positions array that is updated in
     place between iterations, so it must copy any rows it keeps.
     Fresh uniform r1/r2 are drawn per particle, iteration, and dimension;
-    positions clip to the box and velocities to the clamp. Deterministic
-    per seed.
+    positions clip to [-BOUND, BOUND] and velocities to VELOCITY_CLAMP.
+    Deterministic per seed.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = -cfg.bound, cfg.bound
-    clamp = cfg.velocity_clamp
-    pos = rng.uniform(lo, hi, size=(cfg.swarm, dim))
-    vel = rng.uniform(-clamp, clamp, size=(cfg.swarm, dim))
+    pos = rng.uniform(-BOUND, BOUND, size=(cfg.swarm, dim))
+    vel = rng.uniform(-VELOCITY_CLAMP, VELOCITY_CLAMP, size=(cfg.swarm, dim))
     view = pos.view()
     view.flags.writeable = False
 
@@ -308,18 +305,18 @@ def pso_optimize(objective, dim, cfg: PsoConfig):
         rng.random(out=r1)
         rng.random(out=r2)
         # vel = (inertia·vel + (c1·r1)·(p_best − pos)) + (c2·r2)·(g_best − pos)
-        vel *= cfg.inertia
-        r1 *= cfg.cognitive
+        vel *= INERTIA
+        r1 *= COGNITIVE
         r1 *= np.subtract(p_best, pos, out=gap)
         vel += r1
-        r2 *= cfg.social
+        r2 *= SOCIAL
         r2 *= np.subtract(g_best, pos, out=gap)
         vel += r2
-        np.maximum(vel, -clamp, out=vel)
-        np.minimum(vel, clamp, out=vel)
+        np.maximum(vel, -VELOCITY_CLAMP, out=vel)
+        np.minimum(vel, VELOCITY_CLAMP, out=vel)
         pos += vel
-        np.maximum(pos, lo, out=pos)
-        np.minimum(pos, hi, out=pos)
+        np.maximum(pos, -BOUND, out=pos)
+        np.minimum(pos, BOUND, out=pos)
         fitness = score()
         better = fitness < p_best_val
         np.copyto(p_best, pos, where=better[:, None])
@@ -448,13 +445,13 @@ def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
 
     The input scaler is fitted on the given (training) rows only. The
     returned parameters are the best-loss point seen across both phases,
-    so the final training loss never exceeds the PSO-phase best.
+    so the final training loss never exceeds the PSO-phase best. The net
+    records the seed its PSO ran with; `seed` only builds the default
+    PsoConfig.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    net, = _train_nets([X], [y], net_cfg or NetConfig(X.shape[1]),
-                       [pso_cfg or PsoConfig(seed=seed)], bp_cfg or BpConfig())
-    net.seed = seed
-    return net
+    return _train_nets([X], [y], net_cfg or NetConfig(X.shape[1]),
+                       [pso_cfg or PsoConfig(seed=seed)], bp_cfg or BpConfig())[0]
 
 
 def stratified_split(y, ratio=0.8, seed=0):

@@ -27,7 +27,6 @@ def pick_match(matches, match_id=None):
 @dataclass
 class MatchAnalysis:
     frame: ingest.FeatureFrame
-    standardized: ingest.StandardizedFrame
     weights: ewm.WeightVector
     momentum: ewm.MomentumSeries
     params: changepoint.CusumParams | None = None
@@ -46,7 +45,7 @@ def analyze_momentum(frame: ingest.FeatureFrame, features=None,
     z = ingest.standardize(frame, features)
     w = weights or ewm.entropy_weights(z, epsilon)
     series = ewm.momentum_series(z, w, frame.match_id)
-    return MatchAnalysis(frame, z, w, series)
+    return MatchAnalysis(frame, w, series)
 
 
 def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,

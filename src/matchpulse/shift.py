@@ -48,9 +48,9 @@ def _knots(anchors, T):
     return xs, ys
 
 
-def relative_distance(cp: ChangePointSet, T=None) -> ShiftSeries:
-    """Build the V_t series for one match of T points."""
-    T = cp.T if T is None else T
+def relative_distance(cp: ChangePointSet) -> ShiftSeries:
+    """Build the V_t series over the cp.T points of one match."""
+    T = cp.T
     if cp.times and (min(cp.times) < 1 or max(cp.times) > T):
         raise TimeOutOfRange("change-point times outside [1, T]")
     if cp.n == 0:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateDesign, NoConvergence, SingleClass
 
 SEPARATION_COEF_CAP = 30.0
+STEPWISE_EPS = 1e-9         # an AUC gain counts only above this
 
 
 @dataclass
@@ -219,19 +220,17 @@ def _auc_of_subset(X, y, subset, cache):
     return auc
 
 
-def stepwise_select(X, y, candidates=None, feature_ids=None,
-                    eps=1e-9) -> SelectionTrace:
+def stepwise_select(X, y, feature_ids=None) -> SelectionTrace:
     """Forward-backward stepwise selection under the in-sample AUC criterion.
 
-    `candidates` are column indices into X (default all); `feature_ids`
-    optionally names them in the trace. Ties break toward the lower
-    feature index; degenerate candidate fits are skipped.
+    Every column of X is a candidate; `feature_ids` optionally names them
+    in the trace. Ties break toward the lower feature index; degenerate
+    candidate fits are skipped.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _check_two_classes(y)
     n_cols = X.shape[1]
-    candidates = sorted(candidates if candidates is not None else range(n_cols))
-    if not candidates:
+    if not n_cols:
         raise ValueError("need at least one candidate feature")
     names = feature_ids or [str(i) for i in range(n_cols)]
 
@@ -243,13 +242,13 @@ def stepwise_select(X, y, candidates=None, feature_ids=None,
         moved = False
         # forward: best addition by AUC, lower index wins ties
         best = None
-        for c in (c for c in candidates if c not in selected):
+        for c in (c for c in range(n_cols) if c not in selected):
             auc = _auc_of_subset(X, y, sorted(selected + [c]), cache)
             if auc is None:
                 continue
-            if best is None or auc > best[0] + eps:
+            if best is None or auc > best[0] + STEPWISE_EPS:
                 best = (auc, c)
-        if best and best[0] > current_auc + eps:
+        if best and best[0] > current_auc + STEPWISE_EPS:
             selected = sorted(selected + [best[1]])
             current_auc = best[0]
             trace.steps.append(("add", names[best[1]],
@@ -262,7 +261,7 @@ def stepwise_select(X, y, candidates=None, feature_ids=None,
                 for c in list(selected):
                     reduced = [s for s in selected if s != c]
                     auc = _auc_of_subset(X, y, reduced, cache)
-                    if auc is not None and auc > current_auc + eps:
+                    if auc is not None and auc > current_auc + STEPWISE_EPS:
                         selected = reduced
                         current_auc = auc
                         trace.steps.append(("remove", names[c],

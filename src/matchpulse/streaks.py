@@ -26,10 +26,6 @@ class ContingencyTable:
     cap: int
 
     @property
-    def k(self):
-        return self.counts.shape[0]
-
-    @property
     def row_margins(self):
         return self.counts.sum(axis=1)
 

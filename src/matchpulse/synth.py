@@ -1,10 +1,11 @@
 """Synthetic point-sequence generators for calibration and power checks.
 
-The null process draws i.i.d. Bernoulli(p) points. The momentum process
-adds a boost beta(k) to the win probability, where k is the signed
-current streak length entering the point (positive after wins, negative
-after losses). With beta identically zero the two generators consume
-randomness identically and produce bit-identical output per seed.
+The null process (no boost) draws i.i.d. Bernoulli(p) points. The
+momentum process adds a boost beta(k) to the win probability, where k is
+the signed current streak length entering the point (positive after
+wins, negative after losses). With beta identically zero the two
+processes consume randomness identically and produce bit-identical
+output per seed.
 """
 
 from __future__ import annotations
@@ -56,17 +57,13 @@ def gen_momentum(cfg: GeneratorConfig):
     return [_draw_match(row, cfg.p, cfg.boost) for row in u]
 
 
-def gen_null(p=0.5, T=235, matches=31, seed=0):
-    """I.i.d. Bernoulli(p) point sequences, deterministic per seed."""
-    return gen_momentum(GeneratorConfig(p=p, T=T, matches=matches, seed=seed))
-
-
-def sequences_to_csv(sequences, stream, match_prefix="synth"):
-    """Minimal pipeline-ingestible CSV: match_id, point_no, point_victor."""
+def sequences_to_csv(sequences, stream):
+    """Minimal pipeline-ingestible CSV: match_id, point_no, point_victor,
+    with match ids synth-0001, synth-0002, ..."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["match_id", "point_no", "point_victor"])
     for i, seq in enumerate(sequences, start=1):
-        mid = f"{match_prefix}-{i:04d}"
+        mid = f"synth-{i:04d}"
         for t, o in enumerate(seq, start=1):
             writer.writerow([mid, t, 1 if o == 1 else 2])
 

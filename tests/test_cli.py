@@ -844,6 +844,12 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
     ["synth", "--points", "0"],
     ["synth", "--matches", "0"],
     ["synth", "--p", "1"],
+    ["synth", "--boost", "nan"],
+    ["synth", "--boost", "inf"],
+    ["synth", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["shap", "--seed", "-1"],
+    ["test-momentum", "--seed", "-1"],
 ])
 def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -854,6 +860,24 @@ def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["test-momentum"], ["train", *FAST_MODEL],
+                                  ["synth", "--matches", "2"]])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_is_a_domain_error(argv, below, csv_path, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    if argv[0] != "synth":
+        argv = argv + ["--input", csv_path]
+    before = sorted(os.listdir(tmp_path))
+    code, err = run_process(argv + ["--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: cannot write ") and str(out) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("line, named", [
     ("cap=abc", "'cap'"),
     ("cap=1", "'cap'"),
@@ -862,6 +886,9 @@ def test_out_of_range_flag_is_usage_error(argv, csv_path, tmp_path, capsys):
     ("features=,", "'features'"),
     ("features=x3,x3,x4", "'features'"),
     ("replicates=999", "'replicates'"),
+    ("seed=-1", "'seed'"),
+    ("boost=nan", "'boost'"),
+    ("boost=inf", "'boost'"),
     ("just text", "bad config line 1"),
 ])
 def test_config_bad_value_exits_1(line, named, csv_path, tmp_path, capsys):

@@ -111,9 +111,6 @@ def test_too_many_features_raises():
     with pytest.raises(TooManyFeatures):
         shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(16),
                        ShapConfig(bg))
-    with pytest.raises(TooManyFeatures):
-        shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(3),
-                       ShapConfig(np.zeros((2, 3)), max_features=2))
 
 
 def test_empty_background_raises():

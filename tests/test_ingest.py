@@ -219,14 +219,12 @@ def test_overflowing_feature_is_a_domain_error(field, points, feature, point):
     assert f"{feature} is not finite at point {point}" in str(exc.value)
 
 
-def _frame(cols, orientation=None):
+def _frame(cols):
     X = np.zeros((len(next(iter(cols.values()))), 16))
     ids = list(ingest.FEATURE_IDS)
     for cid, values in cols.items():
         X[:, ids.index(cid)] = values
-    orient = {f: "positive" for f in ids}
-    orient.update(orientation or {})
-    return FeatureFrame("m", X, np.zeros(len(X), dtype=int), ids, orient)
+    return FeatureFrame("m", X, np.zeros(len(X), dtype=int))
 
 
 def test_standardize_positive():
@@ -235,7 +233,8 @@ def test_standardize_positive():
 
 
 def test_standardize_negative():
-    z = standardize(_frame({"x1": [2, 4, 6]}, {"x1": "negative"}), ["x1"])
+    # x9 (unforced error) is a negative feature
+    z = standardize(_frame({"x9": [2, 4, 6]}), ["x9"])
     assert np.allclose(z.z[:, 0], [1, 0.5, 0])
 
 
@@ -263,7 +262,7 @@ def test_negative_is_one_minus_positive():
         if vals.max() == vals.min():
             continue
         pos = standardize(_frame({"x1": vals}), ["x1"]).z[:, 0]
-        neg = standardize(_frame({"x1": vals}, {"x1": "negative"}), ["x1"]).z[:, 0]
+        neg = standardize(_frame({"x9": vals}), ["x9"]).z[:, 0]
         assert np.allclose(neg, 1 - pos)
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from matchpulse import model
 from matchpulse.errors import (
     BadLabels,
     BadModel,
@@ -147,9 +148,11 @@ def test_pso_deterministic_per_seed():
 
 
 def test_pso_respects_bounds():
-    cfg = PsoConfig(iterations=20, bound=0.7, seed=1)
+    cfg = PsoConfig(iterations=20, seed=1)
+    # -sum(P) improves without limit toward +inf, so the swarm ends in the clip
     best, _, _ = pso_optimize(lambda P: -np.sum(P, axis=1), 3, cfg)
-    assert np.all(np.abs(best) <= 0.7 + 1e-12)
+    assert np.all(np.abs(best) <= model.BOUND)
+    assert np.all(best == model.BOUND)
 
 
 def test_pso_objective_failures_become_inf():
@@ -240,9 +243,9 @@ def reference_gradient(config, params, X, y):
 def reference_pso(objective, dim, cfg):
     """One scalar objective call per particle; failures count as +inf."""
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = -cfg.bound, cfg.bound
+    lo, hi, clamp = -model.BOUND, model.BOUND, model.VELOCITY_CLAMP
     pos = rng.uniform(lo, hi, size=(cfg.swarm, dim))
-    vel = rng.uniform(-cfg.velocity_clamp, cfg.velocity_clamp, size=(cfg.swarm, dim))
+    vel = rng.uniform(-clamp, clamp, size=(cfg.swarm, dim))
 
     def safe_eval(x):
         try:
@@ -259,10 +262,10 @@ def reference_pso(objective, dim, cfg):
     for _ in range(cfg.iterations):
         r1 = rng.random((cfg.swarm, dim))
         r2 = rng.random((cfg.swarm, dim))
-        vel = (cfg.inertia * vel
-               + cfg.cognitive * r1 * (p_best - pos)
-               + cfg.social * r2 * (g_best - pos))
-        vel = np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp)
+        vel = (model.INERTIA * vel
+               + model.COGNITIVE * r1 * (p_best - pos)
+               + model.SOCIAL * r2 * (g_best - pos))
+        vel = np.clip(vel, -clamp, clamp)
         pos = np.clip(pos + vel, lo, hi)
         fitness = np.array([safe_eval(p) for p in pos])
         better = fitness < p_best_val
@@ -493,6 +496,18 @@ def test_train_final_loss_not_worse_than_pso():
     y = (X[:, 0] > 0).astype(float)
     net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP, seed=4)
     assert net.history["final_loss"] <= net.history["pso_best"][-1] + 1e-12
+
+
+def test_train_records_the_seed_its_pso_used():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((60, 3))
+    y = (X[:, 0] > 0).astype(float)
+    net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP, seed=4)
+    assert TINY_PSO.seed == 0 and net.seed == 0
+    assert TrainedNet.from_json(net.to_json()).seed == 0
+    # without a PsoConfig, `seed` seeds the default one
+    net = train_bp_pso(X, y, NetConfig(3, (4,)), bp_cfg=TINY_BP, seed=4)
+    assert net.seed == 4
 
 
 def test_train_deterministic_per_seed():

@@ -245,7 +245,7 @@ def test_stepwise_trace_is_unchanged():
 
 def test_stepwise_empty_candidates_raises():
     with pytest.raises(ValueError):
-        stepwise_select(np.ones((4, 1)), [0, 1, 0, 1], candidates=[])
+        stepwise_select(np.ones((4, 0)), [0, 1, 0, 1])
 
 
 def test_stepwise_trace_is_consistent():

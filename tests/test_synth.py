@@ -13,7 +13,6 @@ from matchpulse.synth import (
     _draw_match,
     calibrate,
     gen_momentum,
-    gen_null,
     sequences_to_csv,
 )
 
@@ -23,13 +22,13 @@ def step_boost(delta):
 
 
 def test_null_shapes_and_determinism():
-    seqs = gen_null(p=0.5, T=100, matches=5, seed=3)
+    seqs = gen_momentum(GeneratorConfig(p=0.5, T=100, matches=5, seed=3))
     assert len(seqs) == 5
     assert all(len(s) == 100 for s in seqs)
     assert all(set(np.unique(s)) <= {0, 1} for s in seqs)
-    again = gen_null(p=0.5, T=100, matches=5, seed=3)
+    again = gen_momentum(GeneratorConfig(p=0.5, T=100, matches=5, seed=3))
     assert all(np.array_equal(a, b) for a, b in zip(seqs, again))
-    other = gen_null(p=0.5, T=100, matches=5, seed=4)
+    other = gen_momentum(GeneratorConfig(p=0.5, T=100, matches=5, seed=4))
     assert any(not np.array_equal(a, b) for a, b in zip(seqs, other))
 
 
@@ -37,7 +36,7 @@ def test_null_equals_zero_boost_bitwise():
     cfg_zero = GeneratorConfig(p=0.4, T=150, matches=4, seed=9,
                                boost=lambda k: 0.0)
     with_boost = gen_momentum(cfg_zero)
-    without = gen_null(p=0.4, T=150, matches=4, seed=9)
+    without = gen_momentum(GeneratorConfig(p=0.4, T=150, matches=4, seed=9))
     assert all(np.array_equal(a, b) for a, b in zip(with_boost, without))
 
 
@@ -65,13 +64,13 @@ def test_gen_momentum_equals_per_match_draws(p, T, matches, seed, delta):
 
 
 def test_null_marginal_rate():
-    seqs = gen_null(p=0.3, T=2000, matches=10, seed=0)
+    seqs = gen_momentum(GeneratorConfig(p=0.3, T=2000, matches=10, seed=0))
     rate = np.concatenate(seqs).mean()
     assert rate == pytest.approx(0.3, abs=0.02)
 
 
 def test_boost_inflates_streaks():
-    null = gen_null(T=400, matches=20, seed=5)
+    null = gen_momentum(GeneratorConfig(T=400, matches=20, seed=5))
     boosted = gen_momentum(GeneratorConfig(T=400, matches=20, seed=5,
                                            boost=step_boost(0.25)))
     def mean_run(seqs):
@@ -111,18 +110,19 @@ def test_extreme_boost_is_clamped():
 
 def test_invalid_p_raises():
     with pytest.raises(ValueError):
-        gen_null(p=0.0)
+        gen_momentum(GeneratorConfig(p=0.0))
     with pytest.raises(ValueError):
-        gen_null(p=1.0)
+        gen_momentum(GeneratorConfig(p=1.0))
 
 
 def test_csv_roundtrip_through_parser():
-    seqs = gen_null(T=30, matches=3, seed=6)
+    seqs = gen_momentum(GeneratorConfig(T=30, matches=3, seed=6))
     buf = io.StringIO()
-    sequences_to_csv(seqs, buf, match_prefix="m")
+    sequences_to_csv(seqs, buf)
     buf.seek(0)
     matches = parse_csv(buf)
-    assert [m.match_id for m in matches] == ["m-0001", "m-0002", "m-0003"]
+    assert [m.match_id for m in matches] == ["synth-0001", "synth-0002",
+                                             "synth-0003"]
     for m, seq in zip(matches, seqs):
         assert np.array_equal(m.outcomes(), seq)
 
