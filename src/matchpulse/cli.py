@@ -119,17 +119,21 @@ def _summary(**kwargs):
 
 
 def _load_config_file(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MatchPulseError(f"cannot read config {path!r}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MatchPulseError(
-                    f"bad config line {line_no}: {line!r} (expected key=value)")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MatchPulseError(
+                f"bad config line {line_no}: {line!r} (expected key=value)")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -436,6 +440,10 @@ def _feature_list(text):
     return ids
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 class _Command(argparse.ArgumentParser):
     """Subcommand parser that keeps its options by dest, so a config file
     can set their defaults through each flag's own type and choices."""
@@ -456,7 +464,10 @@ class _Command(argparse.ArgumentParser):
             if action is None:
                 continue
             if isinstance(action.const, bool):      # store_true
-                defaults[key] = raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in _BOOLEANS:
+                    raise MatchPulseError(f"config key {key!r}: {raw!r} is not "
+                                          f"one of {' '.join(_BOOLEANS)}")
+                defaults[key] = _BOOLEANS[raw.lower()]
                 continue
             try:
                 value = action.type(raw) if action.type else raw
@@ -608,25 +619,21 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
 
-    # apply config-file defaults before the real parse (CLI flags win)
-    if "--config" in argv:
+    args = parser.parse_args(argv)
+    # config-file values become defaults for a second parse (CLI flags win)
+    if args.config is not None:
         try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config requires a path")
-        try:
-            file_values = _load_config_file(cfg_path)
+            file_values = _load_config_file(args.config)
             unknown = set(file_values).difference(
                 *(c.options for c in parser.commands.values()))
             if unknown:
                 raise MatchPulseError(f"unknown config keys: {sorted(unknown)}")
             for command in parser.commands.values():
                 command.config_defaults(file_values)
-        except (OSError, MatchPulseError) as exc:
+        except MatchPulseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         args.fn(args, Run(args))
     except MatchPulseError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_EPSILON
-from .errors import AllColumnsUninformative, ColumnMismatch
+from .errors import AllColumnsUninformative, ColumnMismatch, EmptySeries
 from .ingest import StandardizedFrame
 
 
@@ -50,7 +50,7 @@ def entropy_weights(z: StandardizedFrame, epsilon=DEFAULT_EPSILON) -> WeightVect
     perturbation cannot produce negative 1-e terms.
     """
     if z.T < 2:
-        raise ValueError("need at least 2 points to compute entropy weights")
+        raise EmptySeries("need at least 2 points to compute entropy weights")
     T, m = z.z.shape
     e = np.ones(m)
     for j in range(m):

@@ -29,7 +29,6 @@ from .errors import (
 )
 
 SCORE_ORDINALS = {"0": 0, "15": 1, "30": 2, "40": 3, "AD": 4}
-SCORE_TOKENS = list(SCORE_ORDINALS)
 
 FEATURE_IDS = [f"x{i}" for i in range(1, 17)]
 
@@ -133,15 +132,6 @@ _CHECKS = {
 }
 
 
-def point_table(columns):
-    """Structured array of points from field -> values; absent fields are missing."""
-    # np.zeros: np.empty is much slower to set up object fields
-    table = np.zeros(len(columns["point_no"]), POINT_DTYPE)
-    for f in DEFAULT_SCHEMA:
-        table[f] = columns.get(f, None if f in TEXT_FIELDS else np.nan)
-    return table
-
-
 CSV_HEADER = ["match_id", "point", *FEATURE_IDS, "outcome"]
 
 
@@ -221,9 +211,16 @@ def _header(reader):
     header = next(reader, None)
     if header is None:
         raise EmptyInput("no header row")
+    if header:      # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
-    index = {f: header.index(name) for f, name in DEFAULT_SCHEMA.items()
-             if name in header}
+    index = {}
+    for f, name in DEFAULT_SCHEMA.items():
+        if header.count(name) > 1:
+            raise MatchPulseError(f"column {name!r} is named more than once "
+                                  "in the header")
+        if name in header:
+            index[f] = header.index(name)
     for f in REQUIRED_FIELDS:
         if f not in index:
             raise MissingColumn(DEFAULT_SCHEMA[f])
@@ -349,24 +346,6 @@ def parse_csv(source) -> list:
     bounds = np.cumsum(np.bincount(codes))[:-1]
     return [MatchData(m, points)
             for m, points in zip(code_of, np.split(table, bounds))]
-
-
-def write_points_csv(matches, stream):
-    """Serialize MatchData back to the input CSV layout (round-trip safe)."""
-    def cells(f, values):
-        if f in TEXT_FIELDS:
-            return values                   # csv writes None as ""
-        if f in REAL_FIELDS:
-            return ["" if v != v else repr(v) for v in values]
-        if f in TOKEN_FIELDS:
-            return ["" if v != v else SCORE_TOKENS[int(v)] for v in values]
-        return ["" if v != v else int(v) for v in values]
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(DEFAULT_SCHEMA.values())
-    for m in matches:
-        writer.writerows(zip(*(cells(f, m.points[f].tolist())
-                               for f in DEFAULT_SCHEMA)))
 
 
 def _imputed_series(values):

@@ -9,9 +9,10 @@ import subprocess
 import sys
 import types
 
+import corpus
 import numpy as np
 import pytest
-from conftest import build_corpus, build_match, corpus_csv
+from conftest import match_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -216,19 +217,21 @@ def test_bad_input_file_exits_1(tmp_path, capsys):
 def test_config_file_defaults_and_precedence(csv_path, tmp_path, capsys):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("# defaults\ncap=4\nseed=9\n")
-    out = str(tmp_path / "cfg")
-    code, summary, _ = run(capsys, ["--config", str(cfg), "test-momentum",
-                                    "--input", csv_path, "--out", out])
-    assert code == 0
-    assert summary["df"] == 3  # cap 4 from the config file
+    # each spelling of the option that argparse accepts
+    for i, config in enumerate([["--config", str(cfg)], [f"--config={cfg}"],
+                                ["--conf", str(cfg)]]):
+        out = str(tmp_path / f"cfg{i}")
+        code, summary, _ = run(capsys, [*config, "test-momentum",
+                                        "--input", csv_path, "--out", out])
+        assert code == 0
+        assert summary["df"] == 3, config  # cap 4 from the config file
 
-    # an explicit flag overrides the config value
-    out2 = str(tmp_path / "cfg2")
-    code, summary, _ = run(capsys, ["--config", str(cfg), "test-momentum",
-                                    "--input", csv_path, "--out", out2,
-                                    "--cap", "6"])
-    assert code == 0
-    assert summary["df"] == 5
+        # an explicit flag overrides the config value
+        code, summary, _ = run(capsys, [*config, "test-momentum",
+                                        "--input", csv_path, "--out", out + "b",
+                                        "--cap", "6"])
+        assert code == 0
+        assert summary["df"] == 5, config
 
 
 def test_config_unknown_key_rejected(csv_path, tmp_path, capsys):
@@ -362,10 +365,8 @@ def test_cli_import_registers_every_package_module():
 def test_select_features_refusal_is_unchanged(tmp_path, capsys):
     # the bench tournament corpus (seed 1, 31x300, boost 0.1), on which
     # fit_logistic's absolute gradient-norm stop is never met
-    boost = lambda k: 0.1 if k >= 1 else (-0.1 if k <= -1 else 0.0)
     path = tmp_path / "points.csv"
-    path.write_text(corpus_csv(build_corpus(n_matches=31, T=300, boost=boost,
-                                            seed=1)))
+    path.write_text(corpus.corpus_csv(31, 300, 0.1, 1))
     code, _, err = run(capsys, ["select-features", "--input", str(path),
                                 "--out", str(tmp_path / "out")])
     assert code == 1
@@ -384,10 +385,14 @@ def _infinite_speed(lines):
 
 
 def test_ingest_refuses_overflowing_features(tmp_path):
-    m = build_match([1, 0] * 30, seed=4)
-    m.points["p1_distance_run"][[3, 4]] = 1.7e308
+    lines = match_csv([1, 0] * 30, seed=4).splitlines()
+    col = lines[0].split(",").index("p1_distance_run")
+    for i in (4, 5):                    # points 4 and 5
+        cells = lines[i].split(",")
+        cells[col] = "1.7e+308"
+        lines[i] = ",".join(cells)
     path = tmp_path / "huge.csv"
-    path.write_text(corpus_csv([m]))
+    path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "x"
     code, err = run_process(["ingest", "--input", str(path), "--out", str(out)])
     assert code == 1
@@ -480,7 +485,7 @@ def sweep_setup(tmp_path_factory):
     """(the lines of a short two-match CSV, a model.json trained on it)."""
     root = tmp_path_factory.mktemp("sweep")
     path = root / "points.csv"
-    path.write_text(corpus_csv(build_corpus(n_matches=2, T=60, seed=3)))
+    path.write_text(corpus.corpus_csv(2, 60, None, 3))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--input", str(path), "--out", str(root / "m"),
                      *FAST_MODEL]) == 0
@@ -528,7 +533,7 @@ def shap_fuzz_setup(tmp_path_factory):
     short match."""
     root = tmp_path_factory.mktemp("fuzz")
     path = root / "points.csv"
-    path.write_text(corpus_csv(build_corpus(n_matches=1, T=120, seed=3)))
+    path.write_text(corpus.corpus_csv(1, 120, None, 3))
     common = ["--input", str(path)] + FAST_MODEL
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--out", str(root / "train")] + common) == 0
@@ -796,8 +801,7 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
     # a 10-point match: --split 0.95 leaves no test rows, which train,
     # evaluate and shap refuse before any work, writing nothing
     path = tmp_path / "ten.csv"
-    path.write_text(corpus_csv([build_match([1, 0, 1, 1, 0, 0, 1, 0, 1, 0],
-                                            seed=3)]))
+    path.write_text(match_csv([1, 0, 1, 1, 0, 0, 1, 0, 1, 0], seed=3))
     model_dir = str(tmp_path / "model")
     assert run(capsys, ["train", "--input", str(path), "--out", model_dir,
                         "--split", "0.5", *FAST_MODEL])[0] == 0
@@ -811,6 +815,19 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
         assert code == 1 and summary == {}
         assert err.startswith("error:") and "split" in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["momentum", "changepoints", "shift",
+                                     "train", "evaluate", "shap", "report"])
+def test_one_point_match_is_a_domain_error(command, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text(match_csv([1]))
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "x")]
+    code, err = run_process(argv + (["--model", "m.json"]
+                                    if command == "shap" else []))
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -890,12 +907,28 @@ def test_out_that_is_a_file_is_a_domain_error(argv, below, csv_path, tmp_path):
     ("boost=nan", "'boost'"),
     ("boost=inf", "'boost'"),
     ("just text", "bad config line 1"),
+    ("exact=ture", "'exact'"),
+    ("pooled_weights=yes please", "'pooled_weights'"),
+    (b"cap=\xff", "cannot read config"),
 ])
 def test_config_bad_value_exits_1(line, named, csv_path, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
+    if isinstance(line, bytes):
+        cfg.write_bytes(line + b"\n")
+    else:
+        cfg.write_text(line + "\n")
     code, _, err = run(capsys, ["--config", str(cfg), "momentum",
                                 "--input", csv_path,
                                 "--out", str(tmp_path / "x")])
     assert code == 1
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("TRUE", True), ("Yes", True),
+    ("0", False), ("false", False), ("NO", False),
+])
+def test_config_boolean_spellings(raw, value):
+    command = build_parser().commands["test-momentum"]
+    command.config_defaults({"exact": raw})
+    assert command.get_default("exact") is value

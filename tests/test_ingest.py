@@ -3,12 +3,13 @@ import io
 import tracemalloc
 import warnings
 
+import corpus
 import numpy as np
 import pytest
+from conftest import build_match, match_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_corpus, build_match, corpus_csv
 from matchpulse import ingest
 from matchpulse.errors import (
     BadToken,
@@ -26,7 +27,6 @@ from matchpulse.ingest import (
     parse_csv,
     standardize,
     write_csv_rows,
-    write_points_csv,
 )
 
 MINIMAL_HEADER = "match_id,point_no,point_victor\n"
@@ -71,6 +71,23 @@ def test_bad_score_token():
 def test_missing_required_column():
     with pytest.raises(MissingColumn):
         parse("match_id,point_no\nm1,1\n")
+
+
+def test_byte_order_mark_is_not_part_of_the_header(synthetic_csv, tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + synthetic_csv.encode())
+    want = parse(synthetic_csv)
+    assert_same_matches(parse_csv(path), want)
+    assert_same_matches(parse("\ufeff" + synthetic_csv), want)
+
+
+def test_schema_column_named_twice_is_refused():
+    with pytest.raises(MatchPulseError, match="'point_victor'"):
+        parse("match_id,point_no,point_victor,point_victor\nm1,1,1,2\n")
+    # a column outside the schema may repeat: it is never read
+    assert len(parse("match_id,note,point_no,note,point_victor\n"
+                     "m1,a,1,b,1\n")[0].points) == 1
 
 
 def test_missing_cells_become_none_not_zero():
@@ -266,19 +283,6 @@ def test_negative_is_one_minus_positive():
         assert np.allclose(neg, 1 - pos)
 
 
-def test_roundtrip_preserves_features(synthetic_corpus):
-    frames = [derive_features(m) for m in synthetic_corpus]
-    buf = io.StringIO()
-    write_points_csv(synthetic_corpus, buf)
-    buf.seek(0)
-    reparsed = parse_csv(buf)
-    frames2 = [derive_features(m) for m in reparsed]
-    for f1, f2 in zip(frames, frames2):
-        assert f1.match_id == f2.match_id
-        assert np.array_equal(f1.features, f2.features)
-        assert np.array_equal(f1.outcome, f2.outcome)
-
-
 def reference_features(m):
     """The per-point loop derive_features once was, kept as an oracle:
     (features, outcome, imputed indices), or MissingRequired."""
@@ -399,7 +403,7 @@ def test_missing_required_matches_reference_loop(gaps):
 
 
 FUZZ_ROWS = list(csv.reader(io.StringIO(
-    corpus_csv([build_match([1, 0, 1, 1, 0, 0, 1, 0], seed=4)]))))
+    match_csv([1, 0, 1, 1, 0, 0, 1, 0], seed=4))))
 FUZZ_CELLS = st.one_of(
     st.sampled_from(["", " ", "nan", "inf", "-1", "0", "1", "2", "3", "AD",
                      "45", "1e999", "1.5", "x", "9007199254740993"]),
@@ -509,7 +513,10 @@ def reference_parse_csv(stream):
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
-    table = ingest.point_table(columns)[order]
+    table = np.zeros(len(ids), ingest.POINT_DTYPE)
+    for f in ingest.DEFAULT_SCHEMA:
+        table[f] = columns.get(f, None if f in ingest.TEXT_FIELDS else np.nan)
+    table = table[order]
     bounds = np.cumsum(np.bincount(codes))[:-1]
     return [ingest.MatchData(m, points)
             for m, points in zip(code_of, np.split(table, bounds))]
@@ -526,6 +533,18 @@ def _outcome(parse, text):
         return None, (type(exc), str(exc))
 
 
+def assert_same_matches(got, want):
+    """Same match ids, and every field bit for bit (object fields by value)."""
+    assert [m.match_id for m in got] == [m.match_id for m in want]
+    for ours, ref in zip(got, want):
+        assert ours.points.dtype == ref.points.dtype
+        for f in ingest.DEFAULT_SCHEMA:
+            if f in ingest.TEXT_FIELDS:
+                assert ours.points[f].tolist() == ref.points[f].tolist(), f
+            else:
+                assert ours.points[f].tobytes() == ref.points[f].tobytes(), f
+
+
 def assert_same_parse(text):
     """parse_csv at several block sizes against the whole-file oracle:
     every field bit for bit (object fields by value), or the same error."""
@@ -535,16 +554,8 @@ def assert_same_parse(text):
             mp.setattr(ingest, "CHUNK_ROWS", size)
             got, got_error = _outcome(parse_csv, text)
         assert got_error == want_error, size
-        if want is None:
-            continue
-        assert [m.match_id for m in got] == [m.match_id for m in want], size
-        for ours, ref in zip(got, want):
-            assert ours.points.dtype == ref.points.dtype
-            for f in ingest.DEFAULT_SCHEMA:
-                if f in ingest.TEXT_FIELDS:
-                    assert ours.points[f].tolist() == ref.points[f].tolist()
-                else:
-                    assert ours.points[f].tobytes() == ref.points[f].tobytes(), f
+        if want is not None:
+            assert_same_matches(got, want)
 
 
 DIFF_EDITS = st.one_of(
@@ -577,7 +588,7 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_point_table(tmp_path):
     # the bench tournament's size: a parse that held every cell as a
     # Python string would peak at over 4x the tables it returns
     path = tmp_path / "points.csv"
-    path.write_text(corpus_csv(build_corpus(n_matches=31, T=300, seed=1)))
+    path.write_text(corpus.corpus_csv(31, 300, None, 1))
     tracemalloc.start()
     try:
         matches = parse_csv(path)
