@@ -118,9 +118,9 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
     """Adjust h by +-10% until the detected count is within tolerance.
 
     Too many detections raise h by 10%, too few lower it by 10%; the
-    loop stops when |count - target| <= max(1, tol * target). If h
-    oscillates between two values straddling the target, the value with
-    the closer count wins (ties favor the larger h).
+    loop stops when |count - target| <= max(1, tol * target). After
+    max_iter steps without that, NoConvergence carries the h with the
+    closest count (ties favor the larger h).
     """
     if target_n < 1:
         raise ValueError("target_n must be >= 1")
@@ -128,7 +128,7 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
         raise ValueError("h0 must be positive")
     tolerance = max(1.0, tol * target_n)
     h = float(h0)
-    best = None  # oscillation guard: closest count so far, ties -> larger h
+    best = None  # closest count so far, ties -> larger h
     for it in range(1, max_iter + 1):
         params = CusumParams(d=p.d, h=h, mu=p.mu)
         trace, cps = cusum_detect(m, params)
@@ -139,9 +139,7 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
         if gap <= tolerance:
             return TunedResult(h, cps, trace, True, it)
         h = h * 1.1 if count > target_n else h * 0.9
-    gap, h_best, cps, trace, it = best
-    if gap <= tolerance:
-        return TunedResult(h_best, cps, trace, True, it)
+    _, h_best, cps, trace, it = best
     raise NoConvergence(
         f"threshold tuner did not converge in {max_iter} iterations",
         TunedResult(h_best, cps, trace, False, it))

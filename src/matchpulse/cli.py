@@ -298,7 +298,7 @@ def cmd_train(args, run):
         raise SingleClass("test split lost a class")
     net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
     net = model.train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
-                             net_cfg, pso_cfg, bp_cfg, seed=args.seed)
+                             net_cfg, pso_cfg, bp_cfg)
     _write_json(args.out, "model.json", net.to_json())
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
     metrics = stats.classification_metrics(scores, y[test_idx])
@@ -497,9 +497,8 @@ def build_parser():
                        help="master RNG seed")
         return p
 
-    def add_input(p, required=True):
-        p.add_argument("--input", required=required,
-                       help="point-by-point CSV file")
+    def add_input(p):
+        p.add_argument("--input", help="point-by-point CSV file")
         p.add_argument("--match-id", default=None,
                        help="match to analyze (default: first in file)")
 
@@ -594,7 +593,7 @@ def build_parser():
     add_momentum_opts(p)
     add_cusum_opts(p)
     add_model_opts(p)
-    p.add_argument("--model", required=True, help="model.json from `train`")
+    p.add_argument("--model", help="model.json from `train`")
     add_shap_opts(p)
 
     p = add("synth", cmd_synth, help="generate synthetic point sequences")
@@ -634,6 +633,13 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         args = parser.parse_args(argv)
+    # checked here, not by argparse, so that a config file can supply them
+    command = parser.commands[args.command]
+    missing = [f"--{dest}" for dest in ("input", "model")
+               if dest in command.options and getattr(args, dest) is None]
+    if missing:
+        command.error("the following arguments are required: "
+                      + ", ".join(missing))
     try:
         args.fn(args, Run(args))
     except MatchPulseError as exc:

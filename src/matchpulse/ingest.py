@@ -1,11 +1,12 @@
 """Parsing of point-by-point match CSVs and engineered feature derivation.
 
-The input schema follows the published 37-column point-by-point format
-(score tokens 0/15/30/40/AD, per-player flags, ball speed, distance run).
-Each match is kept as columns: a numpy structured array with one field
-per schema field and one row per point. From each match we derive 16
-per-point features x1..x16 and the binary point outcome for Player 1,
-then min-max standardize selected columns.
+The input follows the published point-by-point format (score tokens
+0/15/30/40/AD, per-player flags, ball speed, distance run), which `SCHEMA`
+describes once: each CSV column with its cell converter. Each match is
+kept as columns: a numpy structured array with one field per `SCHEMA`
+column, named by its header, and one row per point. From each match we
+derive 16 per-point features x1..x16 and the binary point outcome for
+Player 1, then min-max standardize selected columns.
 """
 
 from __future__ import annotations
@@ -46,46 +47,8 @@ FLAG_FIELDS = [
     "p1_force_err", "p2_force_err",
 ]
 
-# internal field -> CSV header name
-DEFAULT_SCHEMA = {
-    "match_id": "match_id",
-    "set_no": "set_no",
-    "game_no": "game_no",
-    "point_no": "point_no",
-    "p1_games": "p1_games",
-    "p2_games": "p2_games",
-    "p1_score_token": "p1_score",
-    "p2_score_token": "p2_score",
-    "server": "server",
-    "serve_no": "serve_no",
-    "point_victor": "point_victor",
-    "p1_points_won": "p1_points_won",
-    "p2_points_won": "p2_points_won",
-    "game_victor": "game_victor",
-    "set_victor": "set_victor",
-    **{f: f for f in FLAG_FIELDS},
-    "ball_speed": "ball_speed",
-    "ball_spin": "ball_spin",
-    "rally_length": "rally_length",
-    "game_time": "game_time",
-    "serve_direction": "serve_direction",
-    "serve_depth": "serve_depth",
-    "return_depth": "return_depth",
-    "p1_distance_run": "p1_distance_run",
-    "p2_distance_run": "p2_distance_run",
-}
-
 # columns every file must resolve, with non-empty cells; the rest may be absent
 REQUIRED_FIELDS = ("match_id", "point_no", "point_victor")
-
-# Text fields are stored as objects (None when missing); every other field is
-# a float64 column with NaN when missing, score tokens as their ordinals.
-TEXT_FIELDS = ("match_id", "serve_direction", "serve_depth", "return_depth")
-REAL_FIELDS = ("ball_speed", "ball_spin", "game_time",
-               "p1_distance_run", "p2_distance_run")
-TOKEN_FIELDS = ("p1_score_token", "p2_score_token")
-POINT_DTYPE = np.dtype([(f, object if f in TEXT_FIELDS else float)
-                        for f in DEFAULT_SCHEMA])
 
 # larger integers would not survive float64 storage
 _INT_LIMIT = 2 ** 53
@@ -113,9 +76,12 @@ def _token(v):
     return SCORE_ORDINALS[v]
 
 
-# field -> cell converter, in the order that decides which of several faults
-# in one row is reported
-_CHECKS = {
+# CSV column -> cell converter: the accepted columns, each a field of the
+# point table under its own name. A text column (converter str) is stored as
+# objects, None when missing; every other one as float64, NaN when missing,
+# score tokens as their ordinals. The order decides which of several faults
+# in one row is reported.
+SCHEMA = {
     "match_id": str,
     "point_victor": _integer((1, 2)),
     "point_no": _integer(),
@@ -125,11 +91,15 @@ _CHECKS = {
     "serve_no": _integer((1, 2)),
     "game_victor": _integer((0, 1, 2)),
     "set_victor": _integer((0, 1, 2)),
-    **{f: _token for f in TOKEN_FIELDS},
+    "p1_score": _token,
+    "p2_score": _token,
     **{f: _integer((0, 1)) for f in FLAG_FIELDS},
-    **{f: _real for f in REAL_FIELDS},
+    **{f: _real for f in ("ball_speed", "ball_spin", "game_time",
+                          "p1_distance_run", "p2_distance_run")},
     **{f: str for f in ("serve_direction", "serve_depth", "return_depth")},
 }
+POINT_DTYPE = np.dtype([(f, object if convert is str else float)
+                        for f, convert in SCHEMA.items()])
 
 
 CSV_HEADER = ["match_id", "point", *FEATURE_IDS, "outcome"]
@@ -207,7 +177,7 @@ CHUNK_ROWS = 1024
 
 
 def _header(reader):
-    """Schema field -> column index, from the header row."""
+    """Schema column -> its index in the header row."""
     header = next(reader, None)
     if header is None:
         raise EmptyInput("no header row")
@@ -215,15 +185,15 @@ def _header(reader):
         header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     index = {}
-    for f, name in DEFAULT_SCHEMA.items():
-        if header.count(name) > 1:
-            raise MatchPulseError(f"column {name!r} is named more than once "
+    for f in SCHEMA:
+        if header.count(f) > 1:
+            raise MatchPulseError(f"column {f!r} is named more than once "
                                   "in the header")
-        if name in header:
-            index[f] = header.index(name)
+        if f in header:
+            index[f] = header.index(f)
     for f in REQUIRED_FIELDS:
         if f not in index:
-            raise MissingColumn(DEFAULT_SCHEMA[f])
+            raise MissingColumn(f)
     return index
 
 
@@ -251,7 +221,7 @@ def _convert(cells, convert, required, dtype):
     missing (NaN, or None in text), or bad in a required column; so is a
     cell `convert` rejects.
     """
-    missing = None if dtype is object else np.nan
+    missing = None if dtype == object else np.nan
     values, bad = {}, set()
     for raw in set(cells):
         v = raw.strip()
@@ -274,21 +244,20 @@ def _read(stream):
     """
     reader = csv.reader(stream)
     index = _header(reader)
-    checks = [(rank, f, convert, f in REQUIRED_FIELDS,
-               object if f in TEXT_FIELDS else float)
-              for rank, (f, convert) in enumerate(_CHECKS.items()) if f in index]
+    checks = [(rank, f, convert, f in REQUIRED_FIELDS)
+              for rank, (f, convert) in enumerate(SCHEMA.items()) if f in index]
     parts = {f: [] for f in index}
     row_nos, faults = [], []
     for block_nos, rows in _blocks(reader, width=max(index.values()) + 1):
         cells = list(zip(*rows))
         start = sum(map(len, row_nos))
-        for rank, f, convert, required, dtype in checks:
+        for rank, f, convert, required in checks:
             col = cells[index[f]]
-            part, bad = _convert(col, convert, required, dtype)
+            part, bad = _convert(col, convert, required, POINT_DTYPE[f])
             parts[f].append(part)
             if bad is not None:
                 faults.append((start + bad, rank, BadToken(
-                    block_nos[bad], DEFAULT_SCHEMA[f], col[bad].strip())))
+                    block_nos[bad], f, col[bad].strip())))
         row_nos.append(np.array(block_nos))
         del rows, cells, col    # before the next block is read
     if not row_nos:
@@ -297,11 +266,11 @@ def _read(stream):
 
     # np.zeros: np.empty is much slower to set up object fields
     table = np.zeros(len(row_nos), POINT_DTYPE)
-    for f in DEFAULT_SCHEMA:
+    for f in SCHEMA:
         if f in parts:
             np.concatenate(parts.pop(f), out=table[f])
         else:
-            table[f] = None if f in TEXT_FIELDS else np.nan
+            table[f] = None if POINT_DTYPE[f] == object else np.nan
     return table, row_nos, faults
 
 
@@ -336,7 +305,7 @@ def parse_csv(source) -> list:
     if len(steps):
         j = steps[np.argmin(order[steps + 1])]
         i = order[j + 1]
-        faults.append((i, len(_CHECKS), PointOrder(
+        faults.append((i, len(SCHEMA), PointOrder(
             int(row_nos[i]), ids[i], int(point_no[j + 1]), int(point_no[j]))))
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
@@ -366,8 +335,8 @@ def _running_ratio(won, tried):
 
 
 # (point field, feature) pairs that cannot be imputed, in the order checked
-_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score_token", "x2"),
-                  ("p2_score_token", "x2"), ("serve_no", "x3")] + [
+_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score", "x2"),
+                  ("p2_score", "x2"), ("serve_no", "x3")] + [
     (f, f) for f in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
                      "p1_net_pt", "p1_net_pt_won", "p1_break_pt",
                      "p1_break_pt_won")]
@@ -399,7 +368,7 @@ def derive_features(m: MatchData) -> FeatureFrame:
         for k in ("x12", "x13", "x14"):
             imputed[k] = d_idx
 
-    s1, s2 = p["p1_score_token"], p["p2_score_token"]
+    s1, s2 = p["p1_score"], p["p2_score"]
     set_won = (p["set_victor"] == 1).astype(int) - (p["set_victor"] == 2)
     # two leading zeros: the running and 3-point sums then add in the same
     # order, from +0.0, as a Python running total and np.sum of a slice
@@ -422,9 +391,7 @@ def derive_features(m: MatchData) -> FeatureFrame:
     if bad.any():
         t = int(bad.any(axis=1).argmax())
         raise NonFiniteFeature(FEATURE_IDS[int(bad[t].argmax())], t + 1)
-    outcome = (p["point_victor"] == 1).astype(int)
-
-    return FeatureFrame(m.match_id, X, outcome, imputed)
+    return FeatureFrame(m.match_id, X, m.outcomes(), imputed)
 
 
 def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:

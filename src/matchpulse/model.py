@@ -440,18 +440,17 @@ def _train_nets(Xs, ys, net_cfg: NetConfig, pso_cfgs, bp_cfg: BpConfig):
 
 
 def train_bp_pso(X, y, net_cfg: NetConfig = None, pso_cfg: PsoConfig = None,
-                 bp_cfg: BpConfig = None, seed=0) -> TrainedNet:
+                 bp_cfg: BpConfig = None) -> TrainedNet:
     """Train on (X, y): PSO finds initial weights, gradient descent refines.
 
     The input scaler is fitted on the given (training) rows only. The
     returned parameters are the best-loss point seen across both phases,
     so the final training loss never exceeds the PSO-phase best. The net
-    records the seed its PSO ran with; `seed` only builds the default
-    PsoConfig.
+    records the seed its PSO ran with, `pso_cfg.seed`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return _train_nets([X], [y], net_cfg or NetConfig(X.shape[1]),
-                       [pso_cfg or PsoConfig(seed=seed)], bp_cfg or BpConfig())[0]
+                       [pso_cfg or PsoConfig()], bp_cfg or BpConfig())[0]
 
 
 def stratified_split(y, ratio=0.8, seed=0):

@@ -327,7 +327,7 @@ def test_criterion_13_shap_properties():
     y = (X[:, 0] - X[:, 1] + 0.3 * rng.standard_normal(120) > 0).astype(float)
     net = train_bp_pso(X, y, NetConfig(3, (4,)),
                        PsoConfig(swarm=10, iterations=20, seed=13),
-                       BpConfig(epochs=50), seed=13)
+                       BpConfig(epochs=50))
     train_idx, test_idx = stratified_split(y, 0.8, seed=13)
     cfg = ShapConfig(X[train_idx[:30]])
     for i in test_idx:

@@ -244,6 +244,35 @@ def test_config_unknown_key_rejected(csv_path, tmp_path, capsys):
     assert "nonsense_key" in err
 
 
+def test_config_file_supplies_input(csv_path, tmp_path, capsys):
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(f"input={csv_path}\n")
+    out = tmp_path / "m"
+    code, _, err = run(capsys, ["--config", str(cfg), "momentum",
+                                "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert (out / "momentum.csv").exists()
+
+
+def test_config_file_supplies_model(shap_fuzz_setup, tmp_path, capsys):
+    shap, text, _ = shap_fuzz_setup
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"model={model}\n")
+    code, _, err = run(capsys, ["--config", str(cfg), *shap,
+                                "--out", str(tmp_path / "s")])
+    assert (code, err) == (0, "")
+
+
+def test_missing_input_and_model_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shap", "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --input, --model\n")
+
+
 def test_report_chain(csv_path, tmp_path, capsys):
     out = str(tmp_path / "report")
     code, summary, _ = run(capsys, ["report", "--input", csv_path,

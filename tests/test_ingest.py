@@ -47,8 +47,14 @@ def test_parse_ad_token():
     text = ("match_id,point_no,point_victor,p1_score,p2_score\n"
             "m1,1,1,AD,40\n")
     match = parse(text)[0]
-    assert match.points["p1_score_token"][0] == ingest.SCORE_ORDINALS["AD"]
-    assert match.points["p2_score_token"][0] == ingest.SCORE_ORDINALS["40"]
+    assert match.points["p1_score"][0] == ingest.SCORE_ORDINALS["AD"]
+    assert match.points["p2_score"][0] == ingest.SCORE_ORDINALS["40"]
+
+
+def test_point_fields_are_named_by_csv_column():
+    points = parse(corpus.corpus_csv(1, 40, 0.1, 1))[0].points
+    assert points.dtype.names == tuple(ingest.SCHEMA)
+    assert set(corpus.HEADER) == set(ingest.SCHEMA)
 
 
 def test_empty_file_raises():
@@ -63,7 +69,7 @@ def test_bad_point_victor():
         parse(MINIMAL_HEADER + "m1,1,3\n")
 
 
-def test_bad_score_token():
+def test_bad_score_cell():
     with pytest.raises(BadToken):
         parse("match_id,point_no,point_victor,p1_score\nm1,1,1,45\n")
 
@@ -176,8 +182,8 @@ def test_point_order_error_names_the_earliest_row():
 
 def test_derive_score_difference_and_lead(synthetic_match):
     frame = derive_features(synthetic_match)
-    s1 = synthetic_match.points["p1_score_token"]
-    s2 = synthetic_match.points["p2_score_token"]
+    s1 = synthetic_match.points["p1_score"]
+    s2 = synthetic_match.points["p2_score"]
     assert np.array_equal(frame.column("x2"), s1 - s2)
     assert np.array_equal(frame.column("x4"), s1 >= s2)
 
@@ -314,8 +320,8 @@ def reference_features(m):
     cum_dist = 0.0
     for t, p in enumerate(pts):
         outcome[t] = 1 if p["point_victor"] == 1 else 0
-        for fld, feat in (("p1_games", "x1"), ("p1_score_token", "x2"),
-                          ("p2_score_token", "x2"), ("serve_no", "x3")):
+        for fld, feat in (("p1_games", "x1"), ("p1_score", "x2"),
+                          ("p2_score", "x2"), ("serve_no", "x3")):
             if np.isnan(p[fld]):
                 raise MissingRequired(feat, t + 1)
         for fld in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
@@ -323,7 +329,7 @@ def reference_features(m):
             if np.isnan(p[fld]):
                 raise MissingRequired(fld, t + 1)
         flag = {f: int(p[f]) for f in ingest.FLAG_FIELDS}
-        s1, s2 = int(p["p1_score_token"]), int(p["p2_score_token"])
+        s1, s2 = int(p["p1_score"]), int(p["p2_score"])
         X[t, 0] = p["p1_games"]
         X[t, 1] = s1 - s2
         X[t, 2] = 1 if p["serve_no"] == 1 else 0
@@ -389,7 +395,7 @@ def test_derive_equals_reference_loop_without_net_or_break_points():
 @pytest.mark.parametrize("gaps", [
     {"p1_ace": [3], "p1_games": [5]},
     {"p1_ace": [3], "serve_no": [3]},
-    {"p2_score_token": [4], "p1_score_token": [4]},
+    {"p2_score": [4], "p1_score": [4]},
 ])
 def test_missing_required_matches_reference_loop(gaps):
     m = build_match([1, 0, 1, 1, 0, 1, 0], seed=7)
@@ -453,18 +459,17 @@ def test_parse_and_derive_raise_only_domain_errors(edits):
 
 
 def _reference_read(stream):
-    """Read the header and the non-blank rows: (schema field -> column
+    """Read the header and the non-blank rows: (schema column -> its
     index, row numbers, cells column by column)."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise EmptyInput("no header row")
     header = [h.strip() for h in header]
-    index = {f: header.index(name) for f, name in ingest.DEFAULT_SCHEMA.items()
-             if name in header}
+    index = {f: header.index(f) for f in ingest.SCHEMA if f in header}
     for f in ingest.REQUIRED_FIELDS:
         if f not in index:
-            raise MissingColumn(ingest.DEFAULT_SCHEMA[f])
+            raise MissingColumn(f)
     width = max(index.values()) + 1
     row_nos, rows = [], []
     for row_no, row in enumerate(reader, start=2):
@@ -488,15 +493,14 @@ def reference_parse_csv(stream):
         raise MatchPulseError(f"cannot read input: {exc}") from None
 
     columns, faults = {}, []
-    for rank, (f, convert) in enumerate(ingest._CHECKS.items()):
+    for rank, (f, convert) in enumerate(ingest.SCHEMA.items()):
         if f in index:
             col = cells[index[f]]
             columns[f], bad = ingest._convert(
-                col, convert, f in ingest.REQUIRED_FIELDS,
-                object if f in ingest.TEXT_FIELDS else float)
+                col, convert, f in ingest.REQUIRED_FIELDS, ingest.POINT_DTYPE[f])
             if bad is not None:
                 faults.append((bad, rank, BadToken(
-                    row_nos[bad], ingest.DEFAULT_SCHEMA[f], col[bad].strip())))
+                    row_nos[bad], f, col[bad].strip())))
 
     ids = columns["match_id"]
     code_of = {}
@@ -508,14 +512,15 @@ def reference_parse_csv(stream):
     if len(steps):
         j = steps[np.argmin(order[steps + 1])]
         i = order[j + 1]
-        faults.append((i, len(ingest._CHECKS), PointOrder(
+        faults.append((i, len(ingest.SCHEMA), PointOrder(
             row_nos[i], ids[i], int(point_no[j + 1]), int(point_no[j]))))
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
     table = np.zeros(len(ids), ingest.POINT_DTYPE)
-    for f in ingest.DEFAULT_SCHEMA:
-        table[f] = columns.get(f, None if f in ingest.TEXT_FIELDS else np.nan)
+    for f in ingest.SCHEMA:
+        table[f] = columns.get(
+            f, None if ingest.POINT_DTYPE[f] == object else np.nan)
     table = table[order]
     bounds = np.cumsum(np.bincount(codes))[:-1]
     return [ingest.MatchData(m, points)
@@ -538,8 +543,8 @@ def assert_same_matches(got, want):
     assert [m.match_id for m in got] == [m.match_id for m in want]
     for ours, ref in zip(got, want):
         assert ours.points.dtype == ref.points.dtype
-        for f in ingest.DEFAULT_SCHEMA:
-            if f in ingest.TEXT_FIELDS:
+        for f in ingest.SCHEMA:
+            if ingest.POINT_DTYPE[f] == object:
                 assert ours.points[f].tolist() == ref.points[f].tolist(), f
             else:
                 assert ours.points[f].tobytes() == ref.points[f].tobytes(), f

@@ -314,7 +314,7 @@ def test_train_equals_per_particle_reference(hidden):
     net_cfg = NetConfig(5, hidden)
     pso_cfg = PsoConfig(swarm=12, iterations=25, seed=12)
     bp_cfg = BpConfig(learning_rate=0.2, epochs=40)
-    net = train_bp_pso(X, y, net_cfg, pso_cfg, bp_cfg, seed=12)
+    net = train_bp_pso(X, y, net_cfg, pso_cfg, bp_cfg)
     params, pso_trace, bp_trace, final_loss = reference_train(
         X, y, net_cfg, pso_cfg, bp_cfg, float32_objective)
     assert np.array_equal(net.params, params)
@@ -485,7 +485,7 @@ def test_train_learns_xor():
     X, y = xor_data()
     net = train_bp_pso(X, y, NetConfig(2, (6,)),
                        PsoConfig(swarm=20, iterations=60, seed=3),
-                       BpConfig(learning_rate=0.5, epochs=300), seed=3)
+                       BpConfig(learning_rate=0.5, epochs=300))
     pred = (net.predict_proba(X) >= 0.5).astype(int)
     assert np.array_equal(pred, y.astype(int))
 
@@ -494,7 +494,7 @@ def test_train_final_loss_not_worse_than_pso():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 3))
     y = (X[:, 0] > 0).astype(float)
-    net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP, seed=4)
+    net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP)
     assert net.history["final_loss"] <= net.history["pso_best"][-1] + 1e-12
 
 
@@ -502,11 +502,10 @@ def test_train_records_the_seed_its_pso_used():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 3))
     y = (X[:, 0] > 0).astype(float)
-    net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP, seed=4)
+    net = train_bp_pso(X, y, NetConfig(3, (4,)), TINY_PSO, TINY_BP)
     assert TINY_PSO.seed == 0 and net.seed == 0
     assert TrainedNet.from_json(net.to_json()).seed == 0
-    # without a PsoConfig, `seed` seeds the default one
-    net = train_bp_pso(X, y, NetConfig(3, (4,)), bp_cfg=TINY_BP, seed=4)
+    net = train_bp_pso(X, y, NetConfig(3, (4,)), PsoConfig(seed=4), TINY_BP)
     assert net.seed == 4
 
 
@@ -514,8 +513,8 @@ def test_train_deterministic_per_seed():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((50, 2))
     y = (X.sum(axis=1) > 0).astype(float)
-    n1 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=5)
-    n2 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=5)
+    n1 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP)
+    n2 = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP)
     assert np.array_equal(n1.params, n2.params)
 
 
@@ -524,7 +523,7 @@ def test_train_without_epochs_keeps_pso_best():
     X = rng.standard_normal((40, 2))
     y = (X[:, 0] > 0).astype(float)
     cfg = NetConfig(2, (3,))
-    net = train_bp_pso(X, y, cfg, TINY_PSO, BpConfig(epochs=0), seed=8)
+    net = train_bp_pso(X, y, cfg, TINY_PSO, BpConfig(epochs=0))
     Z = MinMaxScaler.fit(X).transform(X, clip=False)
     best, best_val, trace = pso_optimize(_swarm_scorer(cfg, Z, y),
                                          cfg.n_params(), TINY_PSO)
@@ -569,7 +568,7 @@ def test_save_load_roundtrip():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 2))
     y = (X[:, 0] > 0).astype(float)
-    net = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP, seed=6)
+    net = train_bp_pso(X, y, NetConfig(2, (3,)), TINY_PSO, TINY_BP)
     loaded = TrainedNet.from_json(json.loads(json.dumps(net.to_json())))
     assert np.array_equal(loaded.params, net.params)
     probe = rng.standard_normal((7, 2))
@@ -670,8 +669,7 @@ def reference_scenario_reports(X, y, scenario_columns, split_ratio, seeds,
         for sid, cols in scenario_columns.items():
             net = train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
                                net_cfg_builder(len(cols)),
-                               dataclasses.replace(pso_cfg, seed=seed), bp_cfg,
-                               seed=seed)
+                               dataclasses.replace(pso_cfg, seed=seed), bp_cfg)
             scores = net.predict_proba(X[np.ix_(test_idx, cols)])
             results[sid].append(classification_metrics(scores, y[test_idx]))
     return results
