@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import math
 import os
@@ -77,8 +76,9 @@ plt.xlabel(header[0]); plt.legend(); plt.show()
 """
 
 
-def _atomic_write(out_dir, name, content):
-    """Write out_dir/name through a temporary file and a rename; its path.
+def _atomic_write(out_dir, name, write):
+    """Create out_dir/name through a temporary file, which write(fh) fills
+    as an open text file, and a rename; its path.
 
     MatchPulseError naming the path if it cannot be written, e.g. when
     out_dir is a file or lies under one.
@@ -89,7 +89,7 @@ def _atomic_write(out_dir, name, content):
         fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
+                write(fh)
             # mkstemp creates 0600; give the artifact the mode a plain open() would
             umask = os.umask(0)
             os.umask(umask)
@@ -104,14 +104,17 @@ def _atomic_write(out_dir, name, content):
     return path
 
 
+def _write_text(out_dir, name, text):
+    return _atomic_write(out_dir, name, lambda fh: fh.write(text))
+
+
 def _write_json(out_dir, name, obj):
-    return _atomic_write(out_dir, name, json.dumps(obj, indent=1) + "\n")
+    return _write_text(out_dir, name, json.dumps(obj, indent=1) + "\n")
 
 
 def _write_csv_rows(out_dir, name, header, rows):
-    buf = io.StringIO()
-    ingest.write_csv_rows(buf, [header, *rows])
-    return _atomic_write(out_dir, name, buf.getvalue())
+    return _atomic_write(out_dir, name,
+                         lambda fh: ingest.write_csv_rows(fh, [header, *rows]))
 
 
 def _summary(**kwargs):
@@ -200,11 +203,14 @@ class Run:
 
 def cmd_ingest(args, run):
     frames = run.frames
-    buf = io.StringIO()
-    ingest.write_csv_rows(buf, [ingest.CSV_HEADER])
-    for f in frames:
-        f.to_csv(buf)
-    _atomic_write(args.out, "features.csv", buf.getvalue())
+
+    def write_features(fh):
+        # one match's rows at a time: the file is never whole in memory
+        ingest.write_csv_rows(fh, [ingest.CSV_HEADER])
+        for f in frames:
+            f.to_csv(fh)
+
+    _atomic_write(args.out, "features.csv", write_features)
     _write_json(args.out, "features.json",
                 {"schema_version": 1, "matches": [f.to_json() for f in frames]})
     _summary(command="ingest", matches=len(run.matches),
@@ -224,7 +230,7 @@ def cmd_test_momentum(args, run):
     cond = streaks.conditional_win_probs(sequences, cap=args.cap)
     result["conditional_probabilities"] = cond.to_json()
     _write_json(args.out, "momentum_test.json", result)
-    _atomic_write(args.out, "contingency.txt", table.format() + "\n")
+    _write_text(args.out, "contingency.txt", table.format() + "\n")
     _summary(command="test-momentum", chi2=chi.statistic, df=chi.df,
              p_value=chi.p_value, validity=chi.validity, n=table.n)
 
@@ -384,9 +390,8 @@ def cmd_synth(args, run):
     cfg = synth.GeneratorConfig(p=args.p, T=args.points, matches=args.matches,
                                 seed=args.seed, boost=boost)
     seqs = synth.gen_momentum(cfg)
-    buf = io.StringIO()
-    synth.sequences_to_csv(seqs, buf)
-    _atomic_write(args.out, "synth.csv", buf.getvalue())
+    _atomic_write(args.out, "synth.csv",
+                  lambda fh: synth.sequences_to_csv(seqs, fh))
     _summary(command="synth", matches=args.matches, points=args.points,
              p=args.p, boost=args.boost, seed=args.seed)
 
@@ -400,7 +405,7 @@ def cmd_report(args, run):
     cmd_train(args, run)
     args.model = os.path.join(args.out, "model.json")
     cmd_shap(args, run)
-    _atomic_write(args.out, "plot.py", PLOT_STUB)
+    _write_text(args.out, "plot.py", PLOT_STUB)
     _summary(command="report", out=args.out)
 
 

@@ -24,9 +24,13 @@ class EmptyInput(MatchPulseError):
 
 
 class MissingRequired(MatchPulseError):
-    def __init__(self, feature, point):
+    """A match lacks a cell that a feature needs and that is never imputed."""
+
+    def __init__(self, match_id, column, feature, point):
+        self.match_id, self.column = match_id, column
         self.feature, self.point = feature, point
-        super().__init__(f"missing non-imputable source for {feature} at point {point}")
+        super().__init__(f"match {match_id!r}: {column} (source of {feature}) "
+                         f"is missing at point {point}")
 
 
 class PointOrder(MatchPulseError):

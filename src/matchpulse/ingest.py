@@ -12,6 +12,7 @@ Player 1, then min-max standardize selected columns.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -143,10 +144,20 @@ class FeatureFrame:
         return self.features[:, FEATURE_IDS.index(feature_id)]
 
     def to_csv(self, stream):
-        """Write one CSV row per point, in CSV_HEADER's columns (no header)."""
-        write_csv_rows(stream, (
-            [self.match_id, t, *x, y] for t, (x, y) in enumerate(
-                zip(self.features.tolist(), self.outcome.tolist()), start=1)))
+        """Write one CSV row per point, in CSV_HEADER's columns (no header),
+        as `write_csv_rows` writes them, formatting each distinct value once."""
+        head = io.StringIO()
+        # csv.writer quotes the id; the empty cell after it keeps an empty
+        # id unquoted, as it is in a full row
+        csv.writer(head, lineterminator="\n").writerow([self.match_id, ""])
+        prefix = head.getvalue()[:-1]
+        features = np.asarray(self.features, dtype=float)
+        # keyed on the bits, not the value, so that -0.0 keeps its sign
+        bits, inverse = np.unique(features.view(np.int64), return_inverse=True)
+        reprs = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        rows = map(",".join, reprs[inverse].reshape(features.shape).tolist())
+        stream.writelines(f"{prefix}{t},{cells},{y}\n" for t, (cells, y) in
+                          enumerate(zip(rows, self.outcome.tolist()), start=1))
 
     def to_json(self):
         """Per-match metadata; the values themselves go to `to_csv`."""
@@ -335,11 +346,11 @@ def _running_ratio(won, tried):
 
 
 # (point field, feature) pairs that cannot be imputed, in the order checked
-_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score", "x2"),
-                  ("p2_score", "x2"), ("serve_no", "x3")] + [
-    (f, f) for f in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
-                     "p1_net_pt", "p1_net_pt_won", "p1_break_pt",
-                     "p1_break_pt_won")]
+_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score", "x2"), ("p2_score", "x2"),
+                  ("serve_no", "x3"), ("p1_ace", "x6"), ("p1_winner", "x7"),
+                  ("p1_double_fault", "x8"), ("p1_unf_err", "x9"),
+                  ("p1_net_pt", "x10"), ("p1_net_pt_won", "x10"),
+                  ("p1_break_pt", "x11"), ("p1_break_pt_won", "x11")]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge cells: X is checked
@@ -356,7 +367,8 @@ def derive_features(m: MatchData) -> FeatureFrame:
     missing = np.isnan([p[f] for f, _ in _NON_IMPUTABLE])
     if missing.any():
         t = int(missing.any(axis=0).argmax())
-        raise MissingRequired(_NON_IMPUTABLE[missing[:, t].argmax()][1], t + 1)
+        column, feature = _NON_IMPUTABLE[missing[:, t].argmax()]
+        raise MissingRequired(m.match_id, column, feature, t + 1)
 
     imputed = {}
     speed, sp_idx = _imputed_series(p["ball_speed"])

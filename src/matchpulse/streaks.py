@@ -19,6 +19,10 @@ from .errors import DegenerateMargins, EmptyStreaks
 EXTENSION = "extension"
 TERMINATION = "termination"
 
+# replicates drawn and scored at a time in `exact_test`: only the log
+# probability and the remaining column mass span every replicate
+EXACT_SLICE = 4096
+
 
 @dataclass
 class ContingencyTable:
@@ -305,21 +309,26 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
     n = int(counts.sum())
     k = len(rows)
     log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    # vectorized over replicates: allocate column-1 mass row by row; the
-    # remaining population is the same for every replicate
+    # allocate column-1 mass row by row; the remaining population is the
+    # same for every replicate. Each row is drawn in slices of replicates,
+    # in order: numpy takes the stream one element at a time, so the draws
+    # are those of one whole-array call, without its temporaries
     remaining_pop = n
     remaining_col = np.full(replicates, col1)
     lp = np.full(replicates, lfm - lfn)
     for i in range(k):
         r = int(rows[i])
-        if i == k - 1:
-            x = remaining_col
-        else:
-            x = rng.hypergeometric(r, remaining_pop - r, remaining_col)
-        t = log_fact[x]
-        t += log_fact[r - x]
-        lp -= t
-        remaining_col -= x
+        for start in range(0, replicates, EXACT_SLICE):
+            part = slice(start, start + EXACT_SLICE)
+            rest = remaining_col[part]
+            if i == k - 1:
+                x = rest
+            else:
+                x = rng.hypergeometric(r, remaining_pop - r, rest)
+            t = log_fact[x]
+            t += log_fact[r - x]
+            lp[part] -= t
+            rest -= x
         remaining_pop -= r
     hits = int(np.sum(lp <= obs_lp + tol))
     p = hits / replicates

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -732,6 +733,15 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     assert set(doc["matches"][0]) == {"match_id", "feature_ids", "T",
                                       "orientation", "imputed"}
     assert doc["matches"][0]["imputed"] == {"x15": [2], "x16": [2]}
+
+
+def test_ingest_features_csv_is_unchanged(csv_path, tmp_path, capsys):
+    # recorded from the csv.writer version of FeatureFrame.to_csv
+    out = str(tmp_path / "ingest")
+    code, _, _ = run(capsys, ["ingest", "--input", csv_path, "--out", out])
+    assert code == 0
+    digest = hashlib.sha256(artifacts(out)["features.csv"]).hexdigest()
+    assert digest == "56f2a741d6c18220ced9e6a0c6f50f52fd24244a58056737a4d58b384327837b"
 
 
 def test_report_csv_cells_are_numbers(csv_path, tmp_path, capsys):

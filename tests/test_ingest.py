@@ -321,13 +321,13 @@ def reference_features(m):
     for t, p in enumerate(pts):
         outcome[t] = 1 if p["point_victor"] == 1 else 0
         for fld, feat in (("p1_games", "x1"), ("p1_score", "x2"),
-                          ("p2_score", "x2"), ("serve_no", "x3")):
+                          ("p2_score", "x2"), ("serve_no", "x3"),
+                          ("p1_ace", "x6"), ("p1_winner", "x7"),
+                          ("p1_double_fault", "x8"), ("p1_unf_err", "x9"),
+                          ("p1_net_pt", "x10"), ("p1_net_pt_won", "x10"),
+                          ("p1_break_pt", "x11"), ("p1_break_pt_won", "x11")):
             if np.isnan(p[fld]):
-                raise MissingRequired(feat, t + 1)
-        for fld in ("p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
-                    "p1_net_pt", "p1_net_pt_won", "p1_break_pt", "p1_break_pt_won"):
-            if np.isnan(p[fld]):
-                raise MissingRequired(fld, t + 1)
+                raise MissingRequired(m.match_id, fld, feat, t + 1)
         flag = {f: int(p[f]) for f in ingest.FLAG_FIELDS}
         s1, s2 = int(p["p1_score"]), int(p["p2_score"])
         X[t, 0] = p["p1_games"]
@@ -396,6 +396,7 @@ def test_derive_equals_reference_loop_without_net_or_break_points():
     {"p1_ace": [3], "p1_games": [5]},
     {"p1_ace": [3], "serve_no": [3]},
     {"p2_score": [4], "p1_score": [4]},
+    {"p1_break_pt_won": [2], "p1_net_pt_won": [2]},
 ])
 def test_missing_required_matches_reference_loop(gaps):
     m = build_match([1, 0, 1, 1, 0, 1, 0], seed=7)
@@ -406,6 +407,15 @@ def test_missing_required_matches_reference_loop(gaps):
     with pytest.raises(MissingRequired) as ref:
         reference_features(m)
     assert str(ours.value) == str(ref.value)
+
+
+def test_missing_required_names_the_match_and_the_column():
+    # the 3-column minimal layout has no p1_games, the source of x1
+    m = parse(MINIMAL_HEADER + "m1,1,1\nm1,2,2\n")[0]
+    with pytest.raises(MissingRequired) as exc:
+        derive_features(m)
+    assert str(exc.value) == "match 'm1': p1_games (source of x1) is missing at point 1"
+    assert (exc.value.match_id, exc.value.column) == ("m1", "p1_games")
 
 
 FUZZ_ROWS = list(csv.reader(io.StringIO(
@@ -610,3 +620,24 @@ def test_write_csv_rows_writes_floats_as_float_repr():
                           4, "x9"], [np.float64(1) / 3]])
     assert buf.getvalue() == f"0.1,0.5,2.0,3,4,x9\n{1 / 3!r}\n"
     assert float(buf.getvalue().split()[1]) == 1 / 3
+
+
+FEATURE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.7e308,
+                     -1.7e308, 1.0, 2.0, -3.0, 300.0, 0.1, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(',"\n\r é☃'), st.characters()),
+               max_size=8),
+       st.lists(st.tuples(st.lists(FEATURE_CELLS, min_size=16, max_size=16),
+                          st.integers(0, 1)), max_size=6))
+def test_feature_frame_to_csv_equals_write_csv_rows(match_id, rows):
+    X = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), 16)
+    outcome = np.array([y for _, y in rows], dtype=int)
+    ours, ref = io.StringIO(), io.StringIO()
+    FeatureFrame(match_id, X, outcome).to_csv(ours)
+    write_csv_rows(ref, ([match_id, t, *x, y] for t, (x, y) in
+                         enumerate(rows, start=1)))
+    assert ours.getvalue() == ref.getvalue()

@@ -1,5 +1,8 @@
+import io
 import math
+import tracemalloc
 
+import corpus
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from scipy.special import gammaincc
 
 from matchpulse import streaks
 from matchpulse.errors import DegenerateMargins, EmptyStreaks
+from matchpulse.ingest import parse_csv
 from matchpulse.streaks import (
     EXTENSION,
     TERMINATION,
@@ -213,6 +217,72 @@ def test_exact_mc_p_is_unchanged_for_fixed_seed():
     table = ContingencyTable(np.array([[12, 5], [7, 9], [3, 8], [2, 6]]), cap=4)
     result = exact_test(table, replicates=20_000, seed=7)
     assert result.p_value == 0.074
+
+
+def whole_array_exact_p(table, replicates, seed):
+    """The exact test's p-value drawn as exact_test once drew it: each row's
+    hypergeometric counts for every replicate in one call, kept as an oracle."""
+    counts = streaks._nonzero_rows(table).astype(int)
+    rows = counts.sum(axis=1)
+    lfm, lfn = streaks._margin_log_consts(counts)
+    obs_lp = streaks._log_table_prob(counts, lfm, lfn)
+    tol = 1e-9 * abs(obs_lp) + 1e-9
+    rng = np.random.default_rng(seed)
+    n = int(counts.sum())
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    remaining_pop = n
+    remaining_col = np.full(replicates, int(counts[:, 0].sum()))
+    lp = np.full(replicates, lfm - lfn)
+    for i, r in enumerate(rows.tolist()):
+        if i == len(rows) - 1:
+            x = remaining_col
+        else:
+            x = rng.hypergeometric(r, remaining_pop - r, remaining_col)
+        t = log_fact[x]
+        t += log_fact[r - x]
+        lp -= t
+        remaining_col -= x
+        remaining_pop -= r
+    return int(np.sum(lp <= obs_lp + tol)) / replicates
+
+
+def random_tables(count, seed):
+    """Tables of 2-8 rows with both columns populated; some rows empty."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < count:
+        k = int(rng.integers(2, 9))
+        counts = rng.integers(0, 60, size=(k, 2)) * (rng.random((k, 1)) > 0.15)
+        if (counts.sum(axis=1) > 0).sum() >= 2 and counts.sum(axis=0).min() > 0:
+            tables.append(ContingencyTable(counts, k))
+    return tables
+
+
+@pytest.mark.parametrize("replicates, slice_size", [
+    (1_000, None), (4_097, None), (20_000, None), (100_000, None),
+    (4_097, 7), (4_097, 999),
+])
+def test_exact_p_equals_whole_array_draw(replicates, slice_size, monkeypatch):
+    if slice_size:
+        monkeypatch.setattr(streaks, "EXACT_SLICE", slice_size)
+    for seed, table in enumerate(random_tables(4, replicates)):
+        p = exact_test(table, replicates=replicates, seed=seed).p_value
+        assert p == whole_array_exact_p(table, replicates, seed)
+
+
+def test_exact_test_memory_is_bounded():
+    # the 31x300 bench table at the default 100k replicates: with numpy 2.4
+    # the whole-array draw traces 4.8 MB, the sliced one 1.8 MB
+    matches = parse_csv(io.StringIO(corpus.corpus_csv(31, 300, 0.1, 1)))
+    table = contingency_from_sequences([m.outcomes() for m in matches])
+    tracemalloc.start()
+    try:
+        result = exact_test(table, replicates=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.replicates == 100_000
+    assert peak < 3e6, peak
 
 
 def test_exact_requires_replicates():
