@@ -213,7 +213,8 @@ def _blocks(reader, width):
     row padded to `width` cells."""
     row_nos, rows = [], []
     for row_no, row in enumerate(reader, start=2):
-        if "".join(row).strip():
+        # the join is needed only when the first cell is blank
+        if (row and row[0].strip()) or "".join(row).strip():
             if len(row) < width:
                 row += [""] * (width - len(row))
             row_nos.append(row_no)
@@ -230,8 +231,19 @@ def _convert(cells, convert, required, dtype):
 
     Each distinct cell is stripped and converted once. An empty cell is
     missing (NaN, or None in text), or bad in a required column; so is a
-    cell `convert` rejects.
+    cell `convert` rejects. Two cases decode the column in array steps:
+    a real column goes through one `float` pass, which strips the same
+    whitespace as str.strip, unless a cell is refused or infinite; a
+    numeric column whose distinct cells are each one ASCII character reads
+    its bytes as indices into a table of those characters' values.
     """
+    if convert is _real:
+        try:
+            values = np.fromiter(map(float, cells), float, len(cells))
+            if not np.isinf(values).any():
+                return values, None
+        except ValueError:
+            pass
     missing = None if dtype == object else np.nan
     values, bad = {}, set()
     for raw in set(cells):
@@ -243,6 +255,13 @@ def _convert(cells, convert, required, dtype):
         except ValueError:
             values[raw] = missing
             bad.add(raw)
+    if (dtype != object and all(len(c) == 1 for c in values)
+            and "".join(values).isascii()):
+        table, is_bad = np.full(128, np.nan), np.zeros(128, bool)
+        for c, x in values.items():
+            table[ord(c)], is_bad[ord(c)] = x, c in bad
+        codes = np.frombuffer("".join(cells).encode("ascii"), np.uint8)
+        return table[codes], int(is_bad[codes].argmax()) if bad else None
     first = next((i for i, c in enumerate(cells) if c in bad), None) if bad else None
     return np.fromiter(map(values.__getitem__, cells), dtype, len(cells)), first
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesign, NoConvergence, SingleClass
+from .errors import DegenerateDesign, MatchPulseError, NoConvergence, SingleClass
 
 SEPARATION_COEF_CAP = 30.0
 STEPWISE_EPS = 1e-9         # an AUC gain counts only above this
@@ -109,15 +109,17 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
     Xd = np.hstack([X, np.ones((n, 1))])
     beta = np.zeros(m + 1)
 
-    def nll(b):
-        eta = np.clip(Xd @ b, -500, 500)
+    def linear(b):
+        return np.clip(Xd @ b, -500, 500)
+
+    def nll(eta):
         return float(np.sum(np.log1p(np.exp(eta)) - y * eta))
 
-    current = nll(beta)
+    eta = linear(beta)
+    current = nll(eta)
     grad_norm = np.inf
     separated = False
     for it in range(1, max_iter + 1):
-        eta = np.clip(Xd @ beta, -500, 500)
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = Xd.T @ (p - y)
         grad_norm = float(np.linalg.norm(grad))
@@ -129,19 +131,24 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             raise DegenerateDesign("singular Hessian") from None
+        # backtracking line search; an accepted point keeps its eta and nll
         lam = 1.0
         for _ in range(30):
             cand = beta - lam * step
-            if nll(cand) <= current:
+            cand_eta = linear(cand)
+            cand_nll = nll(cand_eta)
+            if cand_nll <= current:
+                beta, eta, current = cand, cand_eta, cand_nll
                 break
             lam *= 0.5
-        beta = beta - lam * step
-        current = nll(beta)
+        else:
+            beta = beta - lam * step
+            eta = linear(beta)
+            current = nll(eta)
         if np.abs(beta).max() > SEPARATION_COEF_CAP:
             beta = np.clip(beta, -SEPARATION_COEF_CAP, SEPARATION_COEF_CAP)
             separated = True
-            eta = np.clip(Xd @ beta, -500, 500)
-            p = 1.0 / (1.0 + np.exp(-eta))
+            p = 1.0 / (1.0 + np.exp(-linear(beta)))
             grad_norm = float(np.linalg.norm(Xd.T @ (p - y)))
             break
     else:
@@ -152,7 +159,7 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
 def average_ranks(values):
     """1-based ranks of `values`, tied entries sharing their mean rank."""
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)     # the order within a tie changes no rank
     xs = values[order]
     bounds = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
     starts, ends = bounds[:-1], bounds[1:]
@@ -163,9 +170,14 @@ def average_ranks(values):
 
 def auc_score(scores, labels):
     """AUC as the Mann-Whitney statistic, ties counted half (Hanley &
-    McNeil 1982): the rank sum of the positives, without the ROC curve."""
+    McNeil 1982): the rank sum of the positives, without the ROC curve.
+    NaN scores have no rank and are refused; infinite ones rank."""
     scores = np.asarray(scores, dtype=float)
     pos = _check_two_classes(labels).astype(int) == 1
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise MatchPulseError(f"cannot rank scores: {n_nan} of {len(scores)} "
+                              "are NaN")
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     ranks = average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))

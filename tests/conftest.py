@@ -12,8 +12,19 @@ import io
 
 import corpus
 import pytest
+from hypothesis import settings
 
 from matchpulse.ingest import parse_csv
+
+# `pytest --hypothesis-profile ci` draws 5x the examples: tests that set
+# their own count scale it with `examples`
+settings.register_profile("ci", max_examples=500)
+
+
+def examples(n):
+    """`n` under the default profile, scaled as the loaded profile scales
+    hypothesis's default of 100."""
+    return n * settings().max_examples // 100
 
 
 def match_csv(outcomes, match_id="synthetic-0001", seed=0):

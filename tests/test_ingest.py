@@ -6,8 +6,8 @@ import warnings
 import corpus
 import numpy as np
 import pytest
-from conftest import build_match, match_csv
-from hypothesis import given, settings
+from conftest import build_match, examples, match_csv
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchpulse import ingest
@@ -458,7 +458,7 @@ def edited_csv(edits):
     return buf
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.lists(FUZZ_EDITS, min_size=1, max_size=6))
 def test_parse_and_derive_raise_only_domain_errors(edits):
     try:
@@ -493,21 +493,80 @@ def _reference_read(stream):
     return index, row_nos, list(zip(*rows))
 
 
+def reference_convert(cells, field, required):
+    """`field`'s values of `cells`, and the index of the first bad cell (or
+    None), one cell at a time: a stripped cell is missing when empty (bad
+    if `required`), else its SCHEMA converter's value, or missing and bad
+    if the converter refuses it."""
+    convert = ingest.SCHEMA[field]
+    missing = None if convert is str else np.nan
+    values, first = [], None
+    for i, raw in enumerate(cells):
+        v = raw.strip()
+        try:
+            if not v and required:
+                raise ValueError(v)
+            values.append(convert(v) if v else missing)
+        except ValueError:
+            values.append(missing)
+            first = i if first is None else first
+    return np.array(values, dtype=ingest.POINT_DTYPE[field]), first
+
+
+CONVERT_CELLS = st.sampled_from([
+    "", " ", "\t", "-0", "nan", "inf", "1e400", "1_0", "\u0663", "\xa0", "AD",
+    "15", "0", "1", "2", "3", "9", " 1", "2 ", "x", "-", "1.5", "40", "10",
+    "9007199254740993"])
+CONVERT_COLUMNS = st.one_of(
+    st.lists(CONVERT_CELLS, min_size=1, max_size=20),
+    # every cell one character, as the one-character decode reads them
+    st.lists(st.one_of(st.sampled_from(["0", "1", "2", " ", "\t", "x"]),
+                       st.characters(max_codepoint=0x7f), st.characters()),
+             min_size=1, max_size=20),
+    # cells float() may accept whole, as the real-column decode reads them
+    st.lists(st.one_of(st.sampled_from(["-0", "nan", "1e400", "1_0", "\u0663",
+                                        " 2.5\xa0", "", "x"]),
+                       st.floats().map(repr)),
+             min_size=1, max_size=20),
+    st.lists(st.text(max_size=4), min_size=1, max_size=20),
+)
+CONVERT_FIELDS = st.one_of(
+    st.sampled_from(list(ingest.SCHEMA)),
+    st.sampled_from([f for f, c in ingest.SCHEMA.items() if c is ingest._real]))
+
+
+@settings(max_examples=examples(500), deadline=None)
+@given(CONVERT_FIELDS, st.booleans(), CONVERT_COLUMNS)
+@example("p1_games", False, ["", "10", "5"])
+@example("ball_speed", False, ["1.5", "inf", "nan"])
+@example("point_victor", True, ["1", " ", "2"])
+def test_convert_equals_per_cell_reference(field, required, cells):
+    want, want_bad = reference_convert(cells, field, required)
+    got, got_bad = ingest._convert(tuple(cells), ingest.SCHEMA[field],
+                                   required, ingest.POINT_DTYPE[field])
+    assert got_bad == want_bad
+    assert got.dtype == want.dtype
+    if want.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def reference_parse_csv(stream):
     """The whole-file parse parse_csv once was, kept as an oracle: every
     cell of the file is read as a string before any column is converted,
-    each column in one `ingest._convert` call."""
+    each column cell by cell by `reference_convert`."""
     try:
         index, row_nos, cells = _reference_read(stream)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise MatchPulseError(f"cannot read input: {exc}") from None
 
     columns, faults = {}, []
-    for rank, (f, convert) in enumerate(ingest.SCHEMA.items()):
+    for rank, f in enumerate(ingest.SCHEMA):
         if f in index:
             col = cells[index[f]]
-            columns[f], bad = ingest._convert(
-                col, convert, f in ingest.REQUIRED_FIELDS, ingest.POINT_DTYPE[f])
+            columns[f], bad = reference_convert(
+                col, f, f in ingest.REQUIRED_FIELDS)
             if bad is not None:
                 faults.append((bad, rank, BadToken(
                     row_nos[bad], f, col[bad].strip())))
@@ -582,7 +641,7 @@ DIFF_EDITS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.lists(DIFF_EDITS, min_size=1, max_size=8))
 def test_chunked_parse_equals_whole_file_parse(edits):
     assert_same_parse(edited_csv(edits).getvalue())
@@ -628,7 +687,7 @@ FEATURE_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.text(st.one_of(st.sampled_from(',"\n\r é☃'), st.characters()),
                max_size=8),
        st.lists(st.tuples(st.lists(FEATURE_CELLS, min_size=16, max_size=16),

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import rankdata
 
-from matchpulse.errors import DegenerateDesign, NoConvergence, SingleClass
+from matchpulse.errors import (
+    DegenerateDesign,
+    MatchPulseError,
+    NoConvergence,
+    SingleClass,
+)
 from matchpulse.stats import (
     SEPARATION_COEF_CAP,
     auc_score,
@@ -113,7 +119,7 @@ def test_auc_pairwise_oracle_with_ties():
         assert auc == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]),
                           st.integers(0, 1)), min_size=2, max_size=60))
 def test_auc_score_equals_roc_auc_and_pairwise_oracle(pairs):
@@ -138,7 +144,7 @@ def test_one_class_labels_raise(labels):
         classification_metrics([0.5] * len(labels), labels)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.25, 1.0, 3.0, 1e300]),
                 min_size=1, max_size=60))
 def test_average_ranks_equal_rankdata_with_ties(values):
@@ -267,3 +273,131 @@ def test_fit_logistic_out_of_iterations_raises_no_convergence():
     with pytest.raises(NoConvergence, match="after 1 iters") as err:
         fit_logistic(X, y, max_iter=1)
     assert err.value.best is None
+
+
+def reference_fit_logistic(X, y, tol=1e-8, max_iter=100):
+    """fit_logistic's Newton loop as it was before it kept the accepted
+    line-search point, kept as an oracle: eta and the objective are
+    recomputed from beta after every step. Returns the model's fields, or
+    the NoConvergence it would raise, and how many line searches ran out
+    of halvings; the input checks are left out."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y).astype(float)
+    n, m = X.shape
+    Xd = np.hstack([X, np.ones((n, 1))])
+    beta = np.zeros(m + 1)
+
+    def nll(b):
+        eta = np.clip(Xd @ b, -500, 500)
+        return float(np.sum(np.log1p(np.exp(eta)) - y * eta))
+
+    current = nll(beta)
+    grad_norm = np.inf
+    separated = False
+    exhausted = 0
+    for it in range(1, max_iter + 1):
+        eta = np.clip(Xd @ beta, -500, 500)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        grad = Xd.T @ (p - y)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol:
+            break
+        w = np.maximum(p * (1 - p), 1e-10)
+        H = (Xd * w[:, None]).T @ Xd
+        step = np.linalg.solve(H, grad)
+        lam = 1.0
+        for _ in range(30):
+            cand = beta - lam * step
+            if nll(cand) <= current:
+                break
+            lam *= 0.5
+        else:
+            exhausted += 1
+        beta = beta - lam * step
+        current = nll(beta)
+        if np.abs(beta).max() > SEPARATION_COEF_CAP:
+            beta = np.clip(beta, -SEPARATION_COEF_CAP, SEPARATION_COEF_CAP)
+            separated = True
+            eta = np.clip(Xd @ beta, -500, 500)
+            p = 1.0 / (1.0 + np.exp(-eta))
+            grad_norm = float(np.linalg.norm(Xd.T @ (p - y)))
+            break
+    else:
+        return NoConvergence(f"gradient norm {grad_norm:.3g} after "
+                             f"{max_iter} iters"), exhausted
+    return (beta[:m], float(beta[m]), it, grad_norm, separated), exhausted
+
+
+def assert_fit_equals_reference(X, y, **kw):
+    """fit_logistic and the oracle agree bit for bit, or raise the same
+    NoConvergence; returns the oracle's count of exhausted line searches."""
+    want, exhausted = reference_fit_logistic(X, y, **kw)
+    if isinstance(want, NoConvergence):
+        with pytest.raises(NoConvergence) as err:
+            fit_logistic(X, y, **kw)
+        assert str(err.value) == str(want)
+        assert err.value.best is want.best is None
+        return exhausted
+    model = fit_logistic(X, y, **kw)
+    coefficients, intercept, iterations, gradient_norm, separated = want
+    assert model.coefficients.tobytes() == coefficients.tobytes()
+    assert type(model.intercept) is float
+    assert np.float64(model.intercept).tobytes() == np.float64(intercept).tobytes()
+    assert model.iterations == iterations
+    assert model.gradient_norm == gradient_norm
+    assert model.separation_flag is separated
+    return exhausted
+
+
+def scaled_design(seed):
+    """(X, y) of a random logistic design: 8 to 400 rows, 1 to 4 columns
+    of scales 1e-3 to 1e4, sometimes an outlying row or rounded cells."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(8, 400)), int(rng.integers(1, 5))
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 5, size=m)
+    if rng.random() < 0.5:
+        X[rng.integers(n)] *= 10.0 ** rng.integers(1, 6)
+    if rng.random() < 0.3:
+        X = np.round(X)
+    scale = np.maximum(np.abs(X).mean(axis=0), 1e-3)
+    beta = rng.standard_normal(m) / scale * rng.choice([0.5, 3.0, 20.0])
+    eta = np.clip(X @ beta, -500, 500)
+    return X, (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fit_logistic_equals_recomputing_reference(seed):
+    X, y = scaled_design(seed)
+    try:
+        fit_logistic(X, y)
+    except (SingleClass, DegenerateDesign):
+        return
+    except NoConvergence:
+        pass
+    assert_fit_equals_reference(X, y)
+
+
+def test_fit_logistic_equals_reference_at_the_separation_cap():
+    X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    assert_fit_equals_reference(X, y)
+    assert fit_logistic(X, y).separation_flag
+
+
+@pytest.mark.parametrize("seed, converges", [(715, True), (692, False)])
+def test_fit_logistic_equals_reference_when_halvings_run_out(seed, converges):
+    # each design has a line search that runs out of its 30 halvings and
+    # takes the untried step; the fit then converges, or runs out of budget
+    X, y = scaled_design(seed)
+    assert assert_fit_equals_reference(X, y) > 0
+    assert isinstance(reference_fit_logistic(X, y)[0], tuple) is converges
+
+
+def test_auc_refuses_nan_scores_and_ranks_infinite_ones():
+    with pytest.raises(MatchPulseError, match="2 of 4 are NaN"):
+        auc_score([0.1, np.nan, 0.3, np.nan], [0, 1, 0, 1])
+    with pytest.raises(MatchPulseError, match="1 of 3 are NaN"):
+        classification_metrics([np.nan, 0.2, 0.8], [0, 1, 1])
+    assert auc_score([-np.inf, 0.5, np.inf, np.inf], [0, 0, 1, 1]) == 1.0
+    assert auc_score([np.inf, np.inf], [0, 1]) == 0.5
