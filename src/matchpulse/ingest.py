@@ -2,11 +2,12 @@
 
 The input follows the published point-by-point format (score tokens
 0/15/30/40/AD, per-player flags, ball speed, distance run), which `SCHEMA`
-describes once: each CSV column with its cell converter. Each match is
-kept as columns: a numpy structured array with one field per `SCHEMA`
-column, named by its header, and one row per point. From each match we
-derive 16 per-point features x1..x16 and the binary point outcome for
-Player 1, then min-max standardize selected columns.
+describes once: each CSV column with its cell converter. Every `SCHEMA`
+column the header names is converted and checked, but each match keeps
+only the `POINT_FIELDS` the analysis reads: a numpy structured array with
+one field per such column, named by its header, and one row per point.
+From each match we derive 16 per-point features x1..x16 and the binary
+point outcome for Player 1, then min-max standardize selected columns.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def _token(v):
     return SCORE_ORDINALS[v]
 
 
-# CSV column -> cell converter: the accepted columns, each a field of the
-# point table under its own name. A text column (converter str) is stored as
-# objects, None when missing; every other one as float64, NaN when missing,
-# score tokens as their ordinals. The order decides which of several faults
-# in one row is reported.
+# CSV column -> cell converter: the accepted columns, each checked cell by
+# cell. A text column (converter str) converts to objects, None when
+# missing; every other one to float64, NaN when missing, score tokens as
+# their ordinals. The order decides which of several faults in one row is
+# reported.
 SCHEMA = {
     "match_id": str,
     "point_victor": _integer((1, 2)),
@@ -99,8 +100,17 @@ SCHEMA = {
                           "p1_distance_run", "p2_distance_run")},
     **{f: str for f in ("serve_direction", "serve_depth", "return_depth")},
 }
-POINT_DTYPE = np.dtype([(f, object if convert is str else float)
-                        for f, convert in SCHEMA.items()])
+# the point table's fields, in SCHEMA order: what derive_features and
+# MatchData.outcomes read, and the match_id and point_no that parse_csv
+# groups and orders the points by. The other columns are checked, not kept.
+POINT_FIELDS = (
+    "match_id", "point_victor", "point_no", "p1_games", "serve_no",
+    "set_victor", "p1_score", "p2_score", "p1_ace", "p1_winner",
+    "p1_double_fault", "p1_unf_err", "p1_net_pt", "p1_net_pt_won",
+    "p1_break_pt", "p1_break_pt_won", "ball_speed", "p1_distance_run",
+)
+POINT_DTYPE = np.dtype([(f, object if SCHEMA[f] is str else float)
+                        for f in POINT_FIELDS])
 
 
 CSV_HEADER = ["match_id", "point", *FEATURE_IDS, "outcome"]
@@ -226,12 +236,13 @@ def _blocks(reader, width):
         yield row_nos, rows
 
 
-def _convert(cells, convert, required, dtype):
+def _convert(cells, convert, required):
     """Values of one column, and the index of its first bad cell (or None).
 
     Each distinct cell is stripped and converted once. An empty cell is
     missing (NaN, or None in text), or bad in a required column; so is a
-    cell `convert` rejects. Two cases decode the column in array steps:
+    cell `convert` rejects. The values are objects if `convert` is str,
+    else float64. Two cases decode the column in array steps:
     a real column goes through one `float` pass, which strips the same
     whitespace as str.strip, unless a cell is refused or infinite; a
     numeric column whose distinct cells are each one ASCII character reads
@@ -244,7 +255,8 @@ def _convert(cells, convert, required, dtype):
                 return values, None
         except ValueError:
             pass
-    missing = None if dtype == object else np.nan
+    dtype = object if convert is str else float
+    missing = None if dtype is object else np.nan
     values, bad = {}, set()
     for raw in set(cells):
         v = raw.strip()
@@ -255,7 +267,7 @@ def _convert(cells, convert, required, dtype):
         except ValueError:
             values[raw] = missing
             bad.add(raw)
-    if (dtype != object and all(len(c) == 1 for c in values)
+    if (dtype is float and all(len(c) == 1 for c in values)
             and "".join(values).isascii()):
         table, is_bad = np.full(128, np.nan), np.zeros(128, bool)
         for c, x in values.items():
@@ -270,21 +282,23 @@ def _read(stream):
     """(point table in file order, row number of each point, faults).
 
     A fault is (point index, check rank, error), for the first bad cell
-    of each column in each block.
+    of each column in each block. Every SCHEMA column the header names is
+    checked; only the POINT_FIELDS are kept.
     """
     reader = csv.reader(stream)
     index = _header(reader)
     checks = [(rank, f, convert, f in REQUIRED_FIELDS)
               for rank, (f, convert) in enumerate(SCHEMA.items()) if f in index]
-    parts = {f: [] for f in index}
+    parts = {f: [] for f in POINT_FIELDS if f in index}
     row_nos, faults = [], []
     for block_nos, rows in _blocks(reader, width=max(index.values()) + 1):
         cells = list(zip(*rows))
         start = sum(map(len, row_nos))
         for rank, f, convert, required in checks:
             col = cells[index[f]]
-            part, bad = _convert(col, convert, required, POINT_DTYPE[f])
-            parts[f].append(part)
+            part, bad = _convert(col, convert, required)
+            if f in parts:
+                parts[f].append(part)
             if bad is not None:
                 faults.append((start + bad, rank, BadToken(
                     block_nos[bad], f, col[bad].strip())))
@@ -296,7 +310,7 @@ def _read(stream):
 
     # np.zeros: np.empty is much slower to set up object fields
     table = np.zeros(len(row_nos), POINT_DTYPE)
-    for f in SCHEMA:
+    for f in POINT_FIELDS:
         if f in parts:
             np.concatenate(parts.pop(f), out=table[f])
         else:

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -386,7 +387,7 @@ def test_criterion_14_cli_reproducibility(tmp_path, synthetic_csv, capsys):
             out = str(tmp_path / f"{i}{run}")
             assert cli_main(argv + ["--out", out]) == 0
             outs.append({
-                name: open(os.path.join(out, name), "rb").read()
+                name: pathlib.Path(out, name).read_bytes()
                 for name in sorted(os.listdir(out))
                 if not name.startswith(".")
             })

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import runpy
 import subprocess
 import sys
@@ -29,7 +30,7 @@ FAST_MODEL = ["--hidden", "3", "--swarm", "6", "--pso-iterations", "10",
 
 def artifacts(out):
     return {
-        name: open(os.path.join(out, name), "rb").read()
+        name: pathlib.Path(out, name).read_bytes()
         for name in sorted(os.listdir(out))
         if not name.startswith(".")
     }
@@ -71,7 +72,7 @@ def test_synth_then_test_momentum(tmp_path, capsys):
                                     "--out", out2, "--cap", "5"])
     assert code == 0
     assert summary["df"] == 4
-    doc = json.loads(open(os.path.join(out2, "momentum_test.json")).read())
+    doc = json.loads(pathlib.Path(out2, "momentum_test.json").read_text())
     assert doc["schema_version"] == 1
     assert len(doc["table"]["extension"]) == 5
     assert os.path.exists(os.path.join(out2, "contingency.txt"))
@@ -83,7 +84,7 @@ def test_momentum_weights_sum_to_one(csv_path, tmp_path, capsys):
                                     "--out", out])
     assert code == 0
     assert sum(summary["weights"].values()) == pytest.approx(1.0)
-    rows = open(os.path.join(out, "momentum.csv")).read().splitlines()
+    rows = pathlib.Path(out, "momentum.csv").read_text().splitlines()
     assert rows[0] == "t,M"
     assert len(rows) == 221
 
@@ -102,9 +103,9 @@ def test_changepoints_and_shift(csv_path, tmp_path, capsys):
                                     "--out", out2,
                                     "--target-changepoints", "6"])
     assert code == 0
-    doc = json.loads(open(os.path.join(out2, "shift.json")).read())
+    doc = json.loads(pathlib.Path(out2, "shift.json").read_text())
     assert doc["schema_version"] == 1
-    assert len(open(os.path.join(out2, "shift.csv")).read().splitlines()) == 221
+    assert len(pathlib.Path(out2, "shift.csv").read_text().splitlines()) == 221
 
 
 def test_train_then_shap(csv_path, tmp_path, capsys):
@@ -122,7 +123,7 @@ def test_train_then_shap(csv_path, tmp_path, capsys):
                                     "--background", "12",
                                     "--shap-points", "2"] + FAST_MODEL)
     assert code == 0
-    ranking = open(os.path.join(out2, "shap.csv")).read().splitlines()
+    ranking = pathlib.Path(out2, "shap.csv").read_text().splitlines()
     assert ranking[0] == "feature,mean_abs_phi,rank"
     assert len(ranking) == 1 + 9  # six base features + M, CP, V
 
@@ -137,7 +138,7 @@ def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
     out = str(tmp_path / "train")
     assert run(capsys, ["train", "--input", csv_path, "--out", out]
                + FAST_MODEL)[0] == 0
-    doc = json.loads(open(os.path.join(out, "model.json")).read())
+    doc = json.loads(pathlib.Path(out, "model.json").read_text())
     mins, maxs = doc["scaler"]["mins"], doc["scaler"]["maxs"]
     doc["scaler"]["mins"] = [lo + (hi - lo) / 3 for lo, hi in zip(mins, maxs)]
     doc["scaler"]["maxs"] = [hi - (hi - lo) / 3 for lo, hi in zip(mins, maxs)]
@@ -147,7 +148,7 @@ def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
     argv = ["shap", "--input", csv_path, "--model", str(model),
             "--background", "12", "--shap-points", "3"] + FAST_MODEL
     assert run(capsys, argv + ["--out", str(tmp_path / "shap")])[0] == 0
-    rows = open(tmp_path / "shap" / "shap_points.csv").read().splitlines()
+    rows = (tmp_path / "shap" / "shap_points.csv").read_text().splitlines()
 
     args = build_parser().parse_args(argv)
     X, names, y, col_map = Run(args).scenario
@@ -174,7 +175,7 @@ def test_evaluate_scenarios(csv_path, tmp_path, capsys):
                            + FAST_MODEL)
     assert code == 0
     assert set(summary["auc"]) == {"base", "base_m", "base_m_cp", "base_m_cp_v"}
-    doc = json.loads(open(os.path.join(out, "scenario_metrics.json")).read())
+    doc = json.loads(pathlib.Path(out, "scenario_metrics.json").read_text())
     assert set(doc["scenarios"]) == set(summary["auc"])
 
 
@@ -637,7 +638,7 @@ def test_shap_rejects_broken_model_without_traceback(csv_path, tmp_path, capsys)
     out = str(tmp_path / "train")
     assert run(capsys, ["train", "--input", csv_path, "--out", out]
                + FAST_MODEL)[0] == 0
-    text = open(os.path.join(out, "model.json")).read()
+    text = pathlib.Path(out, "model.json").read_text()
     doc = json.loads(text)
     doc["params"] = doc["params"][:-3]
     broken = {"truncated.json": text[:300], "short.json": json.dumps(doc)}
@@ -729,7 +730,7 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     out = str(tmp_path / "ingest")
     code, _, _ = run(capsys, ["ingest", "--input", str(path), "--out", out])
     assert code == 0
-    doc = json.loads(open(os.path.join(out, "features.json")).read())
+    doc = json.loads(pathlib.Path(out, "features.json").read_text())
     assert set(doc["matches"][0]) == {"match_id", "feature_ids", "T",
                                       "orientation", "imputed"}
     assert doc["matches"][0]["imputed"] == {"x15": [2], "x16": [2]}

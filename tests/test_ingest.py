@@ -9,6 +9,7 @@ import pytest
 from conftest import build_match, examples, match_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib import recfunctions as rfn
 
 from matchpulse import ingest
 from matchpulse.errors import (
@@ -53,7 +54,9 @@ def test_parse_ad_token():
 
 def test_point_fields_are_named_by_csv_column():
     points = parse(corpus.corpus_csv(1, 40, 0.1, 1))[0].points
-    assert points.dtype.names == tuple(ingest.SCHEMA)
+    assert points.dtype.names == ingest.POINT_FIELDS
+    assert ingest.POINT_FIELDS == tuple(f for f in ingest.SCHEMA
+                                        if f in ingest.POINT_FIELDS)
     assert set(corpus.HEADER) == set(ingest.SCHEMA)
 
 
@@ -88,6 +91,32 @@ def test_byte_order_mark_is_not_part_of_the_header(synthetic_csv, tmp_path):
     assert_same_matches(parse("\ufeff" + synthetic_csv), want)
 
 
+@pytest.mark.parametrize("column, value, row", [
+    ("p2_ace", "2", 6),           # a flag
+    ("rally_length", "x", 8),     # an integer
+    ("game_time", "inf", 4),      # a real
+])
+def test_bad_cell_in_a_column_the_table_does_not_keep(column, value, row):
+    assert column in ingest.SCHEMA and column not in ingest.POINT_FIELDS
+    rows = list(csv.reader(io.StringIO(corpus.corpus_csv(1, 40, 0.1, 1))))
+    rows[row - 1][rows[0].index(column)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with pytest.raises(BadToken) as exc:
+        parse(buf.getvalue())
+    assert (exc.value.row, exc.value.column, exc.value.value) == (row, column, value)
+
+
+@pytest.mark.parametrize("dropped", [f for f in ingest.POINT_FIELDS
+                                     if f not in ("match_id", "point_no")])
+def test_every_kept_field_is_read_by_the_analysis(dropped, synthetic_match):
+    # match_id and point_no are read by parse_csv itself
+    derive_features(synthetic_match)
+    points = rfn.drop_fields(synthetic_match.points, dropped, usemask=False)
+    with pytest.raises(ValueError, match=f"no field of name {dropped}"):
+        derive_features(ingest.MatchData(synthetic_match.match_id, points))
+
+
 def test_schema_column_named_twice_is_refused():
     with pytest.raises(MatchPulseError, match="'point_victor'"):
         parse("match_id,point_no,point_victor,point_victor\nm1,1,1,2\n")
@@ -103,8 +132,10 @@ def test_missing_cells_become_none_not_zero():
     speed = points["ball_speed"]
     assert np.isnan(speed[0]) and np.isnan(speed[2])
     assert speed[1] == 181.5
-    assert points["serve_depth"].tolist() == [None, "CTL", None]
-    assert np.isnan(points["rally_length"]).all()   # absent column
+    # serve_depth is checked but not kept; its empty cells convert to None
+    depth, bad = ingest._convert(("", "CTL", ""), str, False)
+    assert (depth.tolist(), bad) == ([None, "CTL", None], None)
+    assert np.isnan(points["p1_distance_run"]).all()   # absent column
 
 
 @pytest.mark.parametrize("rows, column", [
@@ -328,7 +359,9 @@ def reference_features(m):
                           ("p1_break_pt", "x11"), ("p1_break_pt_won", "x11")):
             if np.isnan(p[fld]):
                 raise MissingRequired(m.match_id, fld, feat, t + 1)
-        flag = {f: int(p[f]) for f in ingest.FLAG_FIELDS}
+        flag = {f: int(p[f]) for f in (
+            "p1_ace", "p1_winner", "p1_double_fault", "p1_unf_err",
+            "p1_net_pt", "p1_net_pt_won", "p1_break_pt", "p1_break_pt_won")}
         s1, s2 = int(p["p1_score"]), int(p["p2_score"])
         X[t, 0] = p["p1_games"]
         X[t, 1] = s1 - s2
@@ -499,6 +532,7 @@ def reference_convert(cells, field, required):
     if `required`), else its SCHEMA converter's value, or missing and bad
     if the converter refuses it."""
     convert = ingest.SCHEMA[field]
+    dtype = object if convert is str else float
     missing = None if convert is str else np.nan
     values, first = [], None
     for i, raw in enumerate(cells):
@@ -510,7 +544,7 @@ def reference_convert(cells, field, required):
         except ValueError:
             values.append(missing)
             first = i if first is None else first
-    return np.array(values, dtype=ingest.POINT_DTYPE[field]), first
+    return np.array(values, dtype=dtype), first
 
 
 CONVERT_CELLS = st.sampled_from([
@@ -543,7 +577,7 @@ CONVERT_FIELDS = st.one_of(
 def test_convert_equals_per_cell_reference(field, required, cells):
     want, want_bad = reference_convert(cells, field, required)
     got, got_bad = ingest._convert(tuple(cells), ingest.SCHEMA[field],
-                                   required, ingest.POINT_DTYPE[field])
+                                   required)
     assert got_bad == want_bad
     assert got.dtype == want.dtype
     if want.dtype == object:
@@ -587,7 +621,7 @@ def reference_parse_csv(stream):
         raise min(faults, key=lambda fault: fault[:2])[2]
 
     table = np.zeros(len(ids), ingest.POINT_DTYPE)
-    for f in ingest.SCHEMA:
+    for f in ingest.POINT_FIELDS:
         table[f] = columns.get(
             f, None if ingest.POINT_DTYPE[f] == object else np.nan)
     table = table[order]
@@ -612,7 +646,7 @@ def assert_same_matches(got, want):
     assert [m.match_id for m in got] == [m.match_id for m in want]
     for ours, ref in zip(got, want):
         assert ours.points.dtype == ref.points.dtype
-        for f in ingest.SCHEMA:
+        for f in ingest.POINT_FIELDS:
             if ingest.POINT_DTYPE[f] == object:
                 assert ours.points[f].tolist() == ref.points[f].tolist(), f
             else:
@@ -671,6 +705,10 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_point_table(tmp_path):
         tracemalloc.stop()
     table_bytes = sum(m.points.nbytes for m in matches)
     assert peak <= 3 * table_bytes, peak / table_bytes
+    # 18 fields of 8 bytes per point, and a peak that keeping the values
+    # of all 42 schema columns would exceed
+    assert table_bytes == 9300 * 18 * 8
+    assert peak < 4.0e6, peak
 
 
 def test_write_csv_rows_writes_floats_as_float_repr():
