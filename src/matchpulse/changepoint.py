@@ -30,8 +30,9 @@ class CusumParams:
 
 
 def default_params(values) -> CusumParams:
+    """Drift 0.05·σ and fixed threshold max(1e-6, 2·σ), σ the stdev of values."""
     std = float(np.std(values))
-    return CusumParams(d=DEFAULT_DRIFT_STD_FRACTION * std)
+    return CusumParams(d=DEFAULT_DRIFT_STD_FRACTION * std, h=max(1e-6, 2.0 * std))
 
 
 @dataclass

@@ -109,7 +109,9 @@ def _write_text(out_dir, name, text):
 
 
 def _write_json(out_dir, name, obj):
-    return _write_text(out_dir, name, json.dumps(obj, indent=1) + "\n")
+    """Write obj as indented JSON, with "schema_version": 1 as its first key."""
+    return _write_text(out_dir, name,
+                       json.dumps({"schema_version": 1, **obj}, indent=1) + "\n")
 
 
 def _write_csv_rows(out_dir, name, header, rows):
@@ -140,6 +142,18 @@ def _load_config_file(path):
     return values
 
 
+def _derive(match):
+    """Derived features of one match; a warning on stderr for each feed
+    column with no value in it, whose features are then zero."""
+    frame = ingest.derive_features(match)
+    for column, features in ingest.IMPUTED_FEATURES.items():
+        if len(frame.imputed.get(features[0], ())) == frame.T:
+            print(f"warning: match {match.match_id!r} has no {column} value, "
+                  f"so {', '.join(features)} are 0 at every point",
+                  file=sys.stderr)
+    return frame
+
+
 # ---------------------------------------------------------------- commands
 
 class Run:
@@ -158,7 +172,7 @@ class Run:
 
     @cached_property
     def frames(self):
-        return [ingest.derive_features(m) for m in self.matches]
+        return [_derive(m) for m in self.matches]
 
     @cached_property
     def match(self):
@@ -172,7 +186,7 @@ class Run:
         if "frames" in vars(self) or self.args.pooled_weights:
             return next(f for m, f in zip(self.matches, self.frames)
                         if m is match)
-        return ingest.derive_features(match)
+        return _derive(match)
 
     @cached_property
     def momentum(self):
@@ -212,7 +226,7 @@ def cmd_ingest(args, run):
 
     _atomic_write(args.out, "features.csv", write_features)
     _write_json(args.out, "features.json",
-                {"schema_version": 1, "matches": [f.to_json() for f in frames]})
+                {"matches": [f.to_json() for f in frames]})
     _summary(command="ingest", matches=len(run.matches),
              points=sum(f.T for f in frames), out=args.out)
 
@@ -221,8 +235,7 @@ def cmd_test_momentum(args, run):
     sequences = [m.outcomes() for m in run.matches]
     table = streaks.contingency_from_sequences(sequences, cap=args.cap)
     chi = streaks.chi_squared_test(table)
-    result = {"schema_version": 1, "table": table.to_json(),
-              "pearson": chi.to_json()}
+    result = {"table": table.to_json(), "pearson": chi.to_json()}
     if not chi.validity or args.exact:
         exact = streaks.exact_test(table, replicates=args.replicates,
                                    seed=args.seed)
@@ -240,8 +253,7 @@ def cmd_select_features(args, run):
     X = np.vstack([f.features for f in frames])
     y = np.concatenate([f.outcome for f in frames])
     trace = stats.stepwise_select(X, y, feature_ids=list(ingest.FEATURE_IDS))
-    _write_json(args.out, "selection.json",
-                {"schema_version": 1, **trace.to_json()})
+    _write_json(args.out, "selection.json", trace.to_json())
     _summary(command="select-features", selected=trace.final_features,
              auc=trace.final_auc)
 
@@ -249,8 +261,7 @@ def cmd_select_features(args, run):
 def cmd_momentum(args, run):
     match, analysis = run.match, run.momentum
     _write_json(args.out, "weights.json",
-                {"schema_version": 1, "match_id": match.match_id,
-                 **analysis.weights.to_json()})
+                {"match_id": match.match_id, **analysis.weights.to_json()})
     _write_csv_rows(args.out, "momentum.csv", ["t", "M"],
                     enumerate(analysis.momentum.values.tolist(), start=1))
     _summary(command="momentum", match_id=match.match_id,
@@ -263,7 +274,7 @@ def cmd_changepoints(args, run):
     match, analysis = run.match, run.analysis
     cps = analysis.change_points
     _write_json(args.out, "changepoints.json", {
-        "schema_version": 1, "match_id": match.match_id,
+        "match_id": match.match_id,
         "drift": analysis.params.d, "threshold": analysis.params.h,
         "tuned": analysis.tuned_h is not None,
         "converged": analysis.tuner_converged,
@@ -281,16 +292,16 @@ def cmd_changepoints(args, run):
 def cmd_shift(args, run):
     match, ss = run.match, run.analysis.shift_series
     _write_json(args.out, "shift.json",
-                {"schema_version": 1, "match_id": match.match_id,
-                 **ss.to_json()})
+                {"match_id": match.match_id, **ss.to_json()})
     _write_csv_rows(args.out, "shift.csv", ["t", "V"],
                     enumerate(ss.values.tolist(), start=1))
     _summary(command="shift", match_id=match.match_id, d_max=ss.d_max,
              anchors=len(ss.anchors))
 
 
-def _model_configs(args, input_dim):
-    return (model.NetConfig(input_dim, (args.hidden,)),
+def _model_configs(args):
+    """(input width -> NetConfig, PsoConfig, BpConfig) from the model flags."""
+    return (lambda input_dim: model.NetConfig(input_dim, (args.hidden,)),
             model.PsoConfig(swarm=args.swarm, iterations=args.pso_iterations,
                             seed=args.seed),
             model.BpConfig(learning_rate=args.learning_rate, epochs=args.epochs))
@@ -302,15 +313,14 @@ def cmd_train(args, run):
     train_idx, test_idx = model.stratified_split(y, args.split, args.seed)
     if stats.single_class(y[test_idx]):
         raise SingleClass("test split lost a class")
-    net_cfg, pso_cfg, bp_cfg = _model_configs(args, len(cols))
+    net_builder, pso_cfg, bp_cfg = _model_configs(args)
     net = model.train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
-                             net_cfg, pso_cfg, bp_cfg)
+                             net_builder(len(cols)), pso_cfg, bp_cfg)
     _write_json(args.out, "model.json", net.to_json())
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
     metrics = stats.classification_metrics(scores, y[test_idx])
     _write_json(args.out, "train_metrics.json", {
-        "schema_version": 1, "match_id": run.match.match_id,
-        "scenario": args.scenario,
+        "match_id": run.match.match_id, "scenario": args.scenario,
         "columns": [names[c] for c in cols],
         "test_metrics": metrics.to_json(),
     })
@@ -321,13 +331,11 @@ def cmd_train(args, run):
 def cmd_evaluate(args, run):
     X, _, y, col_map = run.scenario
     seeds = list(range(args.seed, args.seed + args.eval_seeds))
-    net_builder = lambda dim: model.NetConfig(dim, (args.hidden,))
-    pso_cfg = model.PsoConfig(swarm=args.swarm, iterations=args.pso_iterations)
-    bp_cfg = model.BpConfig(learning_rate=args.learning_rate, epochs=args.epochs)
-    table, per_seed = model.scenario_matrix(X, y, col_map, args.split, seeds,
-                                            net_builder, pso_cfg, bp_cfg)
+    # scenario_matrix gives each seed's nets that seed's PSO stream
+    table, _ = model.scenario_matrix(X, y, col_map, args.split, seeds,
+                                     *_model_configs(args))
     _write_json(args.out, "scenario_metrics.json", {
-        "schema_version": 1, "match_id": run.match.match_id, "seeds": seeds,
+        "match_id": run.match.match_id, "seeds": seeds,
         "scenarios": {sid: table[sid].to_json() for sid in col_map},
     })
     _write_csv_rows(

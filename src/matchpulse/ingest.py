@@ -378,6 +378,11 @@ def _running_ratio(won, tried):
     return np.divide(won, tried, out=np.zeros(len(tried)), where=tried != 0)
 
 
+# feed column -> the features derived from it: a missing cell is imputed
+# with the match median, and a column with no value in a match gives zeros
+IMPUTED_FEATURES = {"ball_speed": ("x15", "x16"),
+                    "p1_distance_run": ("x12", "x13", "x14")}
+
 # (point field, feature) pairs that cannot be imputed, in the order checked
 _NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score", "x2"), ("p2_score", "x2"),
                   ("serve_no", "x3"), ("p1_ace", "x6"), ("p1_winner", "x7"),
@@ -392,8 +397,8 @@ def derive_features(m: MatchData) -> FeatureFrame:
 
     Score tokens map to ordinals 0/15/30/40/AD -> 0/1/2/3/4 before
     differencing. Cumulative ratios (x10, x11) use running totals up to
-    and including the current point, with 0/0 defined as 0. Ball speed
-    and distance gaps are imputed with the match median and flagged.
+    and including the current point, with 0/0 defined as 0. Gaps in the
+    IMPUTED_FEATURES columns are imputed with the match median and flagged.
     Finite cells whose sums or products overflow raise NonFiniteFeature.
     """
     p = m.points
@@ -403,15 +408,12 @@ def derive_features(m: MatchData) -> FeatureFrame:
         column, feature = _NON_IMPUTABLE[missing[:, t].argmax()]
         raise MissingRequired(m.match_id, column, feature, t + 1)
 
-    imputed = {}
-    speed, sp_idx = _imputed_series(p["ball_speed"])
-    dist, d_idx = _imputed_series(p["p1_distance_run"])
-    if sp_idx:
-        imputed["x15"] = sp_idx
-        imputed["x16"] = sp_idx
-    if d_idx:
-        for k in ("x12", "x13", "x14"):
-            imputed[k] = d_idx
+    imputed, filled = {}, {}
+    for column, features in IMPUTED_FEATURES.items():
+        filled[column], idx = _imputed_series(p[column])
+        if idx:
+            imputed.update(dict.fromkeys(features, idx))
+    speed, dist = filled["ball_speed"], filled["p1_distance_run"]
 
     s1, s2 = p["p1_score"], p["p2_score"]
     set_won = (p["set_victor"] == 1).astype(int) - (p["set_victor"] == 2)

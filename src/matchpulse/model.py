@@ -60,15 +60,15 @@ class MinMaxScaler:
         X = np.atleast_2d(X)
         return cls(X.min(axis=0), X.max(axis=0))
 
-    def transform(self, X, clip=True):
+    def transform(self, X):
+        """Rows of X mapped by (x - mins) / (maxs - mins) and clipped to
+        [-0.5, 1.5]; a constant training column maps to 0."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
         z = (X - self.mins) / safe
         z[:, span == 0] = 0.0
-        if clip:
-            z = np.clip(z, -0.5, 1.5)
-        return z
+        return np.clip(z, -0.5, 1.5)
 
 
 @dataclass
@@ -195,17 +195,12 @@ def _layer_outputs(layers, X):
 
 
 def forward(config: NetConfig, params, X):
-    """Network output probability for each row of X (or a single vector).
+    """Network output probability for each row of X; a 1-D X is one row.
 
     `(k, P)` params give a `(k, n)` result, one row per parameter vector.
     """
-    single = np.ndim(X) == 1
     layers = _unflatten(config, np.asarray(params, dtype=float))
-    out = _layer_outputs(layers, _rows(config, X))[1]
-    if single:
-        out = out[..., 0]
-        return float(out) if out.ndim == 0 else out
-    return out
+    return _layer_outputs(layers, _rows(config, X))[1]
 
 
 def _bce(p, y):
@@ -224,7 +219,7 @@ def _bce(p, y):
 def bce_loss(config, params, X, y):
     """Mean binary cross-entropy against 0/1 labels y; `(k, P)` params
     give `k` losses."""
-    return _bce(forward(config, params, np.atleast_2d(X)), y)
+    return _bce(forward(config, params, X), y)
 
 
 def _backprop(layers, grad_layers, X, y):
@@ -382,7 +377,8 @@ def _pso_start(X, y, net_cfg: NetConfig, pso_cfg: PsoConfig):
     if single_class(y):
         raise SingleClass("training rows need both classes")
     scaler = MinMaxScaler.fit(X)
-    Z = scaler.transform(X, clip=False)
+    # the training rows lie in [0, 1], so the clip moves no bit
+    Z = scaler.transform(X)
     best, _, trace = pso_optimize(_swarm_scorer(net_cfg, Z, y),
                                   net_cfg.n_params(), pso_cfg)
     best_val = bce_loss(net_cfg, best, Z, y)

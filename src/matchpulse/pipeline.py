@@ -50,26 +50,26 @@ def analyze_momentum(frame: ingest.FeatureFrame, features=None,
 
 def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
                         target=None) -> MatchAnalysis:
-    """Fill in CUSUM results: fixed threshold, or tuned toward a target."""
+    """Fill in CUSUM results: `changepoint.default_params` with the given
+    drift and threshold, or h tuned toward a target from `threshold`."""
     values = analysis.momentum.values
-    base = changepoint.default_params(values)
-    d = base.d if drift is None else drift
+    params = changepoint.default_params(values)
+    if drift is not None:
+        params.d = drift
     if target is not None:
         h0 = threshold if threshold is not None else max(
             1e-6, float(np.std(values)))
-        tuned = changepoint.tune_threshold(
-            analysis.momentum, target, changepoint.CusumParams(d=d), h0)
-        analysis.params = changepoint.CusumParams(d=d, h=tuned.h)
+        tuned = changepoint.tune_threshold(analysis.momentum, target, params, h0)
+        params.h = analysis.tuned_h = tuned.h
         analysis.trace = tuned.trace
         analysis.change_points = tuned.change_points
-        analysis.tuned_h = tuned.h
         analysis.tuner_converged = tuned.converged
     else:
-        h = threshold if threshold is not None else max(
-            1e-6, 2.0 * float(np.std(values)))
-        analysis.params = changepoint.CusumParams(d=d, h=h)
+        if threshold is not None:
+            params.h = threshold
         analysis.trace, analysis.change_points = changepoint.cusum_detect(
-            analysis.momentum, analysis.params)
+            analysis.momentum, params)
+    analysis.params = params
     analysis.shift_series = shift.relative_distance(analysis.change_points)
     return analysis
 

@@ -16,6 +16,23 @@ def series(values):
     return MomentumSeries("m", np.asarray(values, dtype=float))
 
 
+@pytest.mark.parametrize("values", [[0.1, 0.5, 0.2, 0.9], [3e-7, 0.0, 3e-7],
+                                    [0.4] * 6])
+def test_default_params_drift_and_threshold(values):
+    sigma = float(np.std(values))
+    p = default_params(values)
+    assert p.d == 0.05 * sigma
+    assert p.h == max(1e-6, 2.0 * sigma)
+    assert p.mu is None
+
+
+def test_default_threshold_floor_when_sigma_is_zero():
+    values = [0.25] * 8
+    assert np.std(values) == 0.0
+    p = default_params(values)
+    assert p.d == 0.0 and p.h == 1e-6
+
+
 def test_constant_series_no_changepoints():
     m = series([0.4] * 50)
     trace, cps = cusum_detect(m, CusumParams(d=0.0, h=0.5, mu=0.4))

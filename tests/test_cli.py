@@ -19,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchpulse import ingest
-from matchpulse.cli import Run, build_parser, main
+from matchpulse.cli import Run, _model_configs, build_parser, main
 from matchpulse.explain import ShapConfig, shapley_values
-from matchpulse.model import TrainedNet, stratified_split
+from matchpulse.model import PsoConfig, TrainedNet, _pso_start, stratified_split
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FAST_MODEL = ["--hidden", "3", "--swarm", "6", "--pso-iterations", "10",
@@ -157,7 +157,10 @@ def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
     bg_idx = np.random.default_rng(args.seed).choice(train_idx, size=12,
                                                      replace=False)
     net = TrainedNet.from_json(doc)
-    z = net.scaler.transform(X[test_idx[:3]][:, cols], clip=False)
+    # the raw affine map, before the scaler's clip to [-0.5, 1.5]
+    span = net.scaler.maxs - net.scaler.mins
+    z = ((X[test_idx[:3]][:, cols] - net.scaler.mins)[:, span > 0]
+         / span[span > 0])
     assert ((z < -0.5) | (z > 1.5)).any()
     cfg = ShapConfig(X[np.ix_(bg_idx, cols)])
     expected = ["instance,feature,feature_value,phi"] + [
@@ -734,6 +737,75 @@ def test_ingest_reports_imputed_cells(synthetic_csv, tmp_path, capsys):
     assert set(doc["matches"][0]) == {"match_id", "feature_ids", "T",
                                       "orientation", "imputed"}
     assert doc["matches"][0]["imputed"] == {"x15": [2], "x16": [2]}
+
+
+def test_absent_feed_column_warns_and_exits_0(tmp_path, capsys):
+    # ball_speed renamed in the 1x300 bench corpus: x15 and x16 are 0
+    header, rows = corpus.corpus_csv(1, 300, 0.1, 1).split("\n", 1)
+    path = tmp_path / "renamed.csv"
+    path.write_text(header.replace("ball_speed", "speed_mph") + "\n" + rows)
+    warning = ("warning: match 'synthetic-0001' has no ball_speed value, "
+               "so x15, x16 are 0 at every point")
+    for argv in (["report", "--replicates", "1000", "--background", "5",
+                  "--shap-points", "1", *FAST_MODEL],
+                 ["ingest"], ["train", *FAST_MODEL]):
+        code, _, err = run(capsys, argv + ["--input", str(path),
+                                           "--out", str(tmp_path / argv[0])])
+        assert code == 0, err
+        assert err.splitlines() == [warning], argv
+
+
+def test_empty_feed_column_warns_for_that_match_only(tmp_path, capsys):
+    lines = corpus.corpus_csv(3, 40, 0.1, 2).splitlines()
+    header = lines[0].split(",")
+    col, mid = header.index("p1_distance_run"), header.index("match_id")
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if cells[mid] == "synthetic-0002":
+            cells[col] = ""
+            lines[i] = ",".join(cells)
+    path = tmp_path / "gap.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, ["ingest", "--input", str(path),
+                                "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: match 'synthetic-0002' has no p1_distance_run value, "
+        "so x12, x13, x14 are 0 at every point"]
+    # a command that derives only the picked match warns for it alone
+    for match_id, expected in (("synthetic-0001", ""), ("synthetic-0002", err)):
+        code, _, err2 = run(capsys, ["changepoints", "--input", str(path),
+                                     "--match-id", match_id,
+                                     "--out", str(tmp_path / match_id)])
+        assert code == 0 and err2 == expected
+
+
+def test_bench_corpus_leaves_stderr_empty(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text(corpus.corpus_csv(1, 300, 0.1, 1))
+    code, _, err = run(capsys, ["report", "--input", str(path),
+                                "--out", str(tmp_path / "out"),
+                                "--replicates", "1000", "--background", "5",
+                                "--shap-points", "1", *FAST_MODEL])
+    assert code == 0 and err == ""
+
+
+def test_pso_start_rows_are_the_unclipped_affine_map(tmp_path):
+    # `_pso_start` scales the rows the scaler was fitted on, which lie in
+    # [0, 1], so the scaler's clip to [-0.5, 1.5] moves no bit
+    path = tmp_path / "points.csv"
+    path.write_text(corpus.corpus_csv(1, 300, 0.1, 1))
+    args = build_parser().parse_args(["train", "--input", str(path)])
+    X, _, y, col_map = Run(args).scenario
+    cols = col_map[args.scenario]
+    train_idx, _ = stratified_split(y, args.split, args.seed)
+    rows = X[np.ix_(train_idx, cols)]
+    net_builder, _, _ = _model_configs(args)
+    scaler, Z, *_ = _pso_start(rows, y[train_idx], net_builder(len(cols)),
+                               PsoConfig(swarm=4, iterations=0))
+    span = scaler.maxs - scaler.mins
+    assert (span > 0).all()
+    assert Z.tobytes() == ((rows - scaler.mins) / span).tobytes()
 
 
 def test_ingest_features_csv_is_unchanged(csv_path, tmp_path, capsys):

@@ -249,7 +249,9 @@ def test_prescaled_attribution_equals_rescaled():
     instance = np.array([50.0, -40.0, 9.0, 0.5])
     scaled_instance = net.scaler.transform(instance)[0]
     assert scaled_instance[0] == 1.5 and scaled_instance[1] == -0.5
-    z = net.scaler.transform(bg, clip=False)
+    # the raw affine map, before the scaler's clip to [-0.5, 1.5]
+    span = net.scaler.maxs - net.scaler.mins
+    z = (bg - net.scaler.mins)[:, span > 0] / span[span > 0]
     assert ((z < -0.5) | (z > 1.5)).any()
 
     rescaled = shapley_values(net.predict_proba, instance, ShapConfig(bg))

@@ -59,6 +59,8 @@ def test_forward_vector_and_single_agree():
     batch = forward(cfg, params, X)
     assert batch.shape == (5,)
     for i in range(5):
+        # a 1-D input is one row
+        assert forward(cfg, params, X[i]).shape == (1,)
         assert forward(cfg, params, X[i]) == pytest.approx(batch[i])
 
 
@@ -106,7 +108,7 @@ def test_scaler_maps_train_to_unit_box():
     rng = np.random.default_rng(2)
     X = rng.uniform(-5, 10, size=(40, 3))
     scaler = MinMaxScaler.fit(X)
-    Z = scaler.transform(X, clip=False)
+    Z = scaler.transform(X)
     assert np.allclose(Z.min(axis=0), 0)
     assert np.allclose(Z.max(axis=0), 1)
 
@@ -289,7 +291,7 @@ def float32_objective(net_cfg, Z, y):
 def reference_train(X, y, net_cfg, pso_cfg, bp_cfg, objective):
     """Per-particle PSO on `objective(net_cfg, Z, y)`, the float64 loss of
     its best position, then two calls (gradient, loss) per epoch."""
-    Z = MinMaxScaler.fit(X).transform(X, clip=False)
+    Z = MinMaxScaler.fit(X).transform(X)
     best, _, pso_trace = reference_pso(objective(net_cfg, Z, y),
                                        net_cfg.n_params(), pso_cfg)
     params = best.copy()
@@ -337,7 +339,8 @@ def test_forward_stacked_params_equal_row_by_row(hidden):
         assert np.array_equal(stacked[k], reference_forward(cfg, P[k], X))
     losses = bce_loss(cfg, P, X, y)
     assert losses.tolist() == [bce_loss(cfg, p, X, y) for p in P]
-    assert forward(cfg, P, X[0]).tolist() == [forward(cfg, p, X[0]) for p in P]
+    assert forward(cfg, P, X[0]).tolist() == [forward(cfg, p, X[0]).tolist()
+                                              for p in P]
 
 
 @pytest.mark.parametrize("hidden", [(8,), (4, 3), (1,), (12,)])
@@ -524,7 +527,7 @@ def test_train_without_epochs_keeps_pso_best():
     y = (X[:, 0] > 0).astype(float)
     cfg = NetConfig(2, (3,))
     net = train_bp_pso(X, y, cfg, TINY_PSO, BpConfig(epochs=0))
-    Z = MinMaxScaler.fit(X).transform(X, clip=False)
+    Z = MinMaxScaler.fit(X).transform(X)
     best, best_val, trace = pso_optimize(_swarm_scorer(cfg, Z, y),
                                          cfg.n_params(), TINY_PSO)
     assert net.history["bp_loss"] == []
