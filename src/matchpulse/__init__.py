@@ -1,6 +1,6 @@
 """Momentum analysis for point-by-point racket-sport data.
 
-Subpackages cover ingestion and feature engineering, streak existence
+Its modules cover ingestion and feature engineering, streak existence
 tests, entropy-weight momentum, CUSUM change points, shift intensity,
 logistic/stepwise statistics, the PSO-seeded neural model, exact Shapley
 attribution, synthetic generators, and a CLI front end.

@@ -17,6 +17,7 @@ from .errors import EmptySeries, NoConvergence
 from .ewm import MomentumSeries
 
 DEFAULT_DRIFT_STD_FRACTION = 0.05
+TUNE_TOLERANCE = 0.01      # tune_threshold's relative count tolerance
 
 
 @dataclass
@@ -115,11 +116,11 @@ class TunedResult:
 
 
 def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
-                   tol=0.01, max_iter=200) -> TunedResult:
+                   max_iter=200) -> TunedResult:
     """Adjust h by +-10% until the detected count is within tolerance.
 
-    Too many detections raise h by 10%, too few lower it by 10%; the
-    loop stops when |count - target| <= max(1, tol * target). After
+    Too many detections raise h by 10%, too few lower it by 10%; the loop
+    stops when |count - target| <= max(1, TUNE_TOLERANCE * target). After
     max_iter steps without that, NoConvergence carries the h with the
     closest count (ties favor the larger h).
     """
@@ -127,7 +128,7 @@ def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
         raise ValueError("target_n must be >= 1")
     if h0 <= 0:
         raise ValueError("h0 must be positive")
-    tolerance = max(1.0, tol * target_n)
+    tolerance = max(1.0, TUNE_TOLERANCE * target_n)
     h = float(h0)
     best = None  # closest count so far, ties -> larger h
     for it in range(1, max_iter + 1):

@@ -272,12 +272,12 @@ def cmd_momentum(args, run):
 
 def cmd_changepoints(args, run):
     match, analysis = run.match, run.analysis
-    cps = analysis.change_points
+    cps, tuned = analysis.change_points, analysis.tuned
     _write_json(args.out, "changepoints.json", {
         "match_id": match.match_id,
         "drift": analysis.params.d, "threshold": analysis.params.h,
-        "tuned": analysis.tuned_h is not None,
-        "converged": analysis.tuner_converged,
+        "tuned": tuned is not None,
+        "converged": tuned.converged if tuned else None,
         **cps.to_json(),
     })
     _write_csv_rows(args.out, "cusum.csv", ["t", "c_pos", "c_neg", "CP"],

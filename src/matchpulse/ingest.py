@@ -100,15 +100,24 @@ SCHEMA = {
                           "p1_distance_run", "p2_distance_run")},
     **{f: str for f in ("serve_direction", "serve_depth", "return_depth")},
 }
-# the point table's fields, in SCHEMA order: what derive_features and
-# MatchData.outcomes read, and the match_id and point_no that parse_csv
-# groups and orders the points by. The other columns are checked, not kept.
-POINT_FIELDS = (
-    "match_id", "point_victor", "point_no", "p1_games", "serve_no",
-    "set_victor", "p1_score", "p2_score", "p1_ace", "p1_winner",
-    "p1_double_fault", "p1_unf_err", "p1_net_pt", "p1_net_pt_won",
-    "p1_break_pt", "p1_break_pt_won", "ball_speed", "p1_distance_run",
-)
+# feed column -> the features derived from it: a missing cell is imputed
+# with the match median, and a column with no value in a match gives zeros
+IMPUTED_FEATURES = {"ball_speed": ("x15", "x16"),
+                    "p1_distance_run": ("x12", "x13", "x14")}
+
+# column -> the first feature it feeds, for the columns whose missing cells
+# are refused, in the order checked
+_NON_IMPUTABLE = {
+    "p1_games": "x1", "p1_score": "x2", "p2_score": "x2", "serve_no": "x3",
+    "set_victor": "x5", "p1_ace": "x6", "p1_winner": "x7",
+    "p1_double_fault": "x8", "p1_unf_err": "x9", "p1_net_pt": "x10",
+    "p1_net_pt_won": "x10", "p1_break_pt": "x11", "p1_break_pt_won": "x11"}
+
+# the point table's fields, in SCHEMA order: the columns parse_csv groups
+# and orders the points by and MatchData.outcomes reads, and every column
+# derive_features reads. The other columns are checked, not kept.
+POINT_FIELDS = tuple(f for f in SCHEMA if f in REQUIRED_FIELDS
+                     or f in _NON_IMPUTABLE or f in IMPUTED_FEATURES)
 POINT_DTYPE = np.dtype([(f, object if SCHEMA[f] is str else float)
                         for f in POINT_FIELDS])
 
@@ -378,19 +387,6 @@ def _running_ratio(won, tried):
     return np.divide(won, tried, out=np.zeros(len(tried)), where=tried != 0)
 
 
-# feed column -> the features derived from it: a missing cell is imputed
-# with the match median, and a column with no value in a match gives zeros
-IMPUTED_FEATURES = {"ball_speed": ("x15", "x16"),
-                    "p1_distance_run": ("x12", "x13", "x14")}
-
-# (point field, feature) pairs that cannot be imputed, in the order checked
-_NON_IMPUTABLE = [("p1_games", "x1"), ("p1_score", "x2"), ("p2_score", "x2"),
-                  ("serve_no", "x3"), ("p1_ace", "x6"), ("p1_winner", "x7"),
-                  ("p1_double_fault", "x8"), ("p1_unf_err", "x9"),
-                  ("p1_net_pt", "x10"), ("p1_net_pt_won", "x10"),
-                  ("p1_break_pt", "x11"), ("p1_break_pt_won", "x11")]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # huge cells: X is checked
 def derive_features(m: MatchData) -> FeatureFrame:
     """Derive the 16 engineered features for every point of one match.
@@ -398,15 +394,16 @@ def derive_features(m: MatchData) -> FeatureFrame:
     Score tokens map to ordinals 0/15/30/40/AD -> 0/1/2/3/4 before
     differencing. Cumulative ratios (x10, x11) use running totals up to
     and including the current point, with 0/0 defined as 0. Gaps in the
-    IMPUTED_FEATURES columns are imputed with the match median and flagged.
-    Finite cells whose sums or products overflow raise NonFiniteFeature.
+    IMPUTED_FEATURES columns are imputed with the match median and flagged;
+    a gap in any other column read raises MissingRequired. Finite cells
+    whose sums or products overflow raise NonFiniteFeature.
     """
     p = m.points
-    missing = np.isnan([p[f] for f, _ in _NON_IMPUTABLE])
+    missing = np.isnan([p[f] for f in _NON_IMPUTABLE])
     if missing.any():
         t = int(missing.any(axis=0).argmax())
-        column, feature = _NON_IMPUTABLE[missing[:, t].argmax()]
-        raise MissingRequired(m.match_id, column, feature, t + 1)
+        column = list(_NON_IMPUTABLE)[missing[:, t].argmax()]
+        raise MissingRequired(m.match_id, column, _NON_IMPUTABLE[column], t + 1)
 
     imputed, filled = {}, {}
     for column, features in IMPUTED_FEATURES.items():

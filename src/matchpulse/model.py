@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadLabels, BadModel, DimMismatch, NonFiniteLoss, SingleClass
-from .stats import MetricsReport, classification_metrics, single_class
+from .stats import MetricsReport, classification_metrics, sigmoid, single_class
 
 # global-best PSO: velocity weights, the search box [-BOUND, BOUND] and the
 # per-dimension speed limit
 INERTIA, COGNITIVE, SOCIAL = 0.7, 1.5, 1.5
 BOUND = 3.0
 VELOCITY_CLAMP = 1.0
+# probabilities are held in [PROB_FLOOR, 1 - PROB_FLOOR] inside the log loss
+PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -184,14 +186,7 @@ def _layer_outputs(layers, X):
     # one output unit: drop its axis first, so the add runs along the rows
     z = (a @ w)[..., 0]
     z += b[..., 0]
-    # the sigmoid 1 / (1 + exp(-clip(z, -500, 500))), in place
-    np.maximum(z, -500, out=z)
-    np.minimum(z, 500, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    np.divide(1.0, z, out=z)
-    return activations, z
+    return activations, sigmoid(z)
 
 
 def forward(config: NetConfig, params, X):
@@ -205,8 +200,8 @@ def forward(config: NetConfig, params, X):
 
 def _bce(p, y):
     """Mean cross-entropy of probabilities p against 0/1 labels y."""
-    q = np.maximum(p, 1e-12)
-    np.minimum(q, 1 - 1e-12, out=q)
+    q = np.maximum(p, PROB_FLOOR)
+    np.minimum(q, 1 - PROB_FLOOR, out=q)
     # one log per point, for 0/1 labels bit for bit y log p + (1 - y) log(1 - p):
     # 1·x = x, 0·x = ±0 and x + ±0 = x
     q = np.where(y == 1, q, 1 - q)
@@ -332,7 +327,7 @@ def _swarm_scorer(config: NetConfig, Z, y):
     flat params store a layer's weight rows and then its bias, so `[w; b]`
     is a reshape of the float32 swarm. A particle's score does not depend
     on the rest of the swarm. The loss is log(1 + exp(u)) of the signed
-    logit u = (1 − 2y)·z, capped at −log(1e-12) as `bce_loss` caps it.
+    logit u = (1 − 2y)·z, capped at −log(PROB_FLOOR) as `bce_loss` caps it.
     """
     n, d = Z.shape
     width = config.layer_dims()[1]
@@ -340,7 +335,7 @@ def _swarm_scorer(config: NetConfig, Z, y):
     Z1 = np.ones((n, d + 1), dtype=np.float32)
     Z1[:, :d] = Z
     sign = (1.0 - 2.0 * y).astype(np.float32)
-    cap = np.float32(-np.log(1e-12))
+    cap = np.float32(-np.log(PROB_FLOOR))
 
     def score(swarm):
         P = swarm.astype(np.float32)

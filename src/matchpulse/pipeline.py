@@ -33,8 +33,7 @@ class MatchAnalysis:
     trace: changepoint.CusumTrace | None = None
     change_points: changepoint.ChangePointSet | None = None
     shift_series: shift.ShiftSeries | None = None
-    tuned_h: float | None = None
-    tuner_converged: bool | None = None
+    tuned: changepoint.TunedResult | None = None
 
 
 def analyze_momentum(frame: ingest.FeatureFrame, features=None,
@@ -59,11 +58,11 @@ def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
     if target is not None:
         h0 = threshold if threshold is not None else max(
             1e-6, float(np.std(values)))
-        tuned = changepoint.tune_threshold(analysis.momentum, target, params, h0)
-        params.h = analysis.tuned_h = tuned.h
+        tuned = analysis.tuned = changepoint.tune_threshold(
+            analysis.momentum, target, params, h0)
+        params.h = tuned.h
         analysis.trace = tuned.trace
         analysis.change_points = tuned.change_points
-        analysis.tuner_converged = tuned.converged
     else:
         if threshold is not None:
             params.h = threshold

@@ -18,6 +18,11 @@ SEPARATION_COEF_CAP = 30.0
 STEPWISE_EPS = 1e-9         # an AUC gain counts only above this
 
 
+def sigmoid(z):
+    """The logistic link 1 / (1 + exp(-z)), with z clipped to [-500, 500]."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
 @dataclass
 class LogisticModel:
     coefficients: np.ndarray     # slopes, one per feature
@@ -28,8 +33,7 @@ class LogisticModel:
 
     def predict_proba(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        eta = X @ self.coefficients + self.intercept
-        return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+        return sigmoid(X @ self.coefficients + self.intercept)
 
 
 @dataclass
@@ -120,7 +124,7 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
     grad_norm = np.inf
     separated = False
     for it in range(1, max_iter + 1):
-        p = 1.0 / (1.0 + np.exp(-eta))
+        p = sigmoid(eta)
         grad = Xd.T @ (p - y)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
@@ -148,7 +152,7 @@ def fit_logistic(X, y, tol=1e-8, max_iter=100) -> LogisticModel:
         if np.abs(beta).max() > SEPARATION_COEF_CAP:
             beta = np.clip(beta, -SEPARATION_COEF_CAP, SEPARATION_COEF_CAP)
             separated = True
-            p = 1.0 / (1.0 + np.exp(-linear(beta)))
+            p = sigmoid(Xd @ beta)
             grad_norm = float(np.linalg.norm(Xd.T @ (p - y)))
             break
     else:

@@ -8,6 +8,7 @@ Streaks never cross match boundaries.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -77,15 +78,7 @@ class TestResult:
     mc_standard_error: float | None = None
 
     def to_json(self):
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "validity": self.validity,
-            "replicates": self.replicates,
-            "mc_standard_error": self.mc_standard_error,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -190,6 +183,16 @@ def _nonzero_rows(table):
     return table.counts[mask].astype(float)
 
 
+def _populated_rows(table):
+    """`_nonzero_rows` of a table the chi-squared and exact tests can run
+    on: at least two such rows, and mass in both columns; else
+    DegenerateMargins."""
+    counts = _nonzero_rows(table)
+    if counts.shape[0] < 2 or counts.sum(axis=0).min() <= 0:
+        raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
+    return counts
+
+
 def chi2_sf(x, df):
     """Upper tail P(X > x) of the chi-squared distribution, integer df >= 1.
 
@@ -218,11 +221,9 @@ def chi_squared_test(table: ContingencyTable) -> TestResult:
     probability is the closed-form chi-squared upper tail for the integer
     df (`chi2_sf`).
     """
-    counts = _nonzero_rows(table)
+    counts = _populated_rows(table)
     k = counts.shape[0]
     col = counts.sum(axis=0)
-    if k < 2 or col.min() <= 0:
-        raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
     n = counts.sum()
     expected = np.outer(counts.sum(axis=1), col) / n
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -248,14 +249,21 @@ def _margin_log_consts(counts):
     return lfm, math.lgamma(counts.sum() + 1)
 
 
+def _observed_bound(counts):
+    """(log margin constants, log probability bound): a table counts toward
+    the p-value when its log probability is at most the observed table's,
+    within a relative and absolute tolerance of 1e-9."""
+    lfm, lfn = _margin_log_consts(counts)
+    obs_lp = _log_table_prob(counts, lfm, lfn)
+    return lfm, lfn, obs_lp + (1e-9 * abs(obs_lp) + 1e-9)
+
+
 def enumerate_exact_p(table: ContingencyTable) -> float:
     """Full-enumeration Fisher-style p-value over all tables with the margins."""
     counts = _nonzero_rows(table).astype(int)
     rows = counts.sum(axis=1)
     col1 = int(counts[:, 0].sum())
-    lfm, lfn = _margin_log_consts(counts)
-    obs_lp = _log_table_prob(counts, lfm, lfn)
-    tol = 1e-9 * abs(obs_lp) + 1e-9
+    lfm, lfn, bound = _observed_bound(counts)
 
     total_p = 0.0
 
@@ -268,7 +276,7 @@ def enumerate_exact_p(table: ContingencyTable) -> float:
                     - math.lgamma(remaining + 1)
                     - math.lgamma(rows[i] - remaining + 1)
                 )
-                if lp <= obs_lp + tol:
+                if lp <= bound:
                     total_p += math.exp(lp)
             return
         lo = max(0, remaining - int(rows[i + 1:].sum()))
@@ -294,18 +302,12 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
     """
     if replicates < 1000:
         raise ValueError("replicates must be >= 1000")
-    counts = _nonzero_rows(table).astype(int)
+    counts = _populated_rows(table).astype(int)
     rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    if counts.shape[0] < 2 or cols.min() <= 0:
-        raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
-
-    lfm, lfn = _margin_log_consts(counts)
-    obs_lp = _log_table_prob(counts, lfm, lfn)
-    tol = 1e-9 * abs(obs_lp) + 1e-9
+    lfm, lfn, bound = _observed_bound(counts)
 
     rng = np.random.default_rng(seed)
-    col1 = int(cols[0])
+    col1 = int(counts[:, 0].sum())
     n = int(counts.sum())
     k = len(rows)
     log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
@@ -330,7 +332,7 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
             lp[part] -= t
             rest -= x
         remaining_pop -= r
-    hits = int(np.sum(lp <= obs_lp + tol))
+    hits = int(np.sum(lp <= bound))
     p = hits / replicates
     se = math.sqrt(max(p * (1 - p), 1.0 / replicates) / replicates)
     return TestResult("exact_mc", None, None, p, True, replicates, se)

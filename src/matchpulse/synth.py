@@ -11,6 +11,7 @@ output per seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -81,9 +82,8 @@ def calibrate(test, alpha, datasets, cfg: GeneratorConfig):
     children = np.random.SeedSequence(cfg.seed).spawn(datasets)
     rejections = 0
     for child in children:
-        seed = child.generate_state(1)[0]
-        seqs = gen_momentum(GeneratorConfig(cfg.p, cfg.T, cfg.matches,
-                                            int(seed), cfg.boost))
+        seed = int(child.generate_state(1)[0])
+        seqs = gen_momentum(dataclasses.replace(cfg, seed=seed))
         if test(seqs).p_value < alpha:
             rejections += 1
     rate = rejections / datasets

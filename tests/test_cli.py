@@ -755,6 +755,23 @@ def test_absent_feed_column_warns_and_exits_0(tmp_path, capsys):
         assert err.splitlines() == [warning], argv
 
 
+def test_absent_set_victor_column_is_refused(tmp_path, capsys):
+    # without set_victor, x5 (sets won before the point) has no source
+    rows = list(csv.reader(io.StringIO(corpus.corpus_csv(1, 300, 0.1, 1))))
+    col = rows[0].index("set_victor")
+    path = tmp_path / "no_set_victor.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            row[:col] + row[col + 1:] for row in rows)
+    out = tmp_path / "out"
+    code, summary, err = run(capsys, ["ingest", "--input", str(path),
+                                      "--out", str(out)])
+    assert (code, summary) == (1, {})
+    assert err == ("error: match 'synthetic-0001': set_victor (source of x5) "
+                   "is missing at point 1\n")
+    assert not out.exists()
+
+
 def test_empty_feed_column_warns_for_that_match_only(tmp_path, capsys):
     lines = corpus.corpus_csv(3, 40, 0.1, 2).splitlines()
     header = lines[0].split(",")

@@ -353,6 +353,7 @@ def reference_features(m):
         outcome[t] = 1 if p["point_victor"] == 1 else 0
         for fld, feat in (("p1_games", "x1"), ("p1_score", "x2"),
                           ("p2_score", "x2"), ("serve_no", "x3"),
+                          ("set_victor", "x5"),
                           ("p1_ace", "x6"), ("p1_winner", "x7"),
                           ("p1_double_fault", "x8"), ("p1_unf_err", "x9"),
                           ("p1_net_pt", "x10"), ("p1_net_pt_won", "x10"),
@@ -430,6 +431,7 @@ def test_derive_equals_reference_loop_without_net_or_break_points():
     {"p1_ace": [3], "serve_no": [3]},
     {"p2_score": [4], "p1_score": [4]},
     {"p1_break_pt_won": [2], "p1_net_pt_won": [2]},
+    {"set_victor": [2]},
 ])
 def test_missing_required_matches_reference_loop(gaps):
     m = build_match([1, 0, 1, 1, 0, 1, 0], seed=7)
@@ -449,6 +451,20 @@ def test_missing_required_names_the_match_and_the_column():
         derive_features(m)
     assert str(exc.value) == "match 'm1': p1_games (source of x1) is missing at point 1"
     assert (exc.value.match_id, exc.value.column) == ("m1", "p1_games")
+
+
+@pytest.mark.parametrize("column", [
+    f for f in ingest.POINT_FIELDS
+    if f not in ingest.REQUIRED_FIELDS and f not in ingest.IMPUTED_FEATURES])
+def test_every_kept_column_that_is_not_imputed_is_refused_when_missing(
+        column, synthetic_match):
+    # a kept column feeds a feature, so a gap in it is either imputed or
+    # refused, never read as a value
+    points = synthetic_match.points.copy()
+    points[column][2] = np.nan
+    with pytest.raises(MissingRequired) as exc:
+        derive_features(ingest.MatchData(synthetic_match.match_id, points))
+    assert (exc.value.column, exc.value.point) == (column, 3)
 
 
 FUZZ_ROWS = list(csv.reader(io.StringIO(

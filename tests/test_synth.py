@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from dataclasses import dataclass
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchpulse import synth
 from matchpulse.ingest import parse_csv
 from matchpulse.streaks import chi_squared_test, contingency_from_sequences
 from matchpulse.synth import (
@@ -165,3 +167,20 @@ def test_calibrate_corpora_are_independent():
         return FakeResult(1.0)
     calibrate(capture, 0.05, 500, GeneratorConfig(p=0.5, T=20, matches=1, seed=1))
     assert len(set(seen)) > 450
+
+
+def test_calibrate_passes_every_config_field_but_the_seed(monkeypatch):
+    seen = []
+    def spy(cfg):
+        seen.append(cfg)
+        return gen_momentum(cfg)
+    monkeypatch.setattr(synth, "gen_momentum", spy)
+    boost = step_boost(0.05)
+    cfg = GeneratorConfig(p=0.4, T=12, matches=3, seed=9, boost=boost)
+    calibrate(lambda s: FakeResult(1.0), 0.05, 500, cfg)
+    assert len(seen) == 500
+    kept = [f.name for f in dataclasses.fields(GeneratorConfig) if f.name != "seed"]
+    for got in seen:
+        assert [getattr(got, f) for f in kept] == [getattr(cfg, f) for f in kept]
+        assert type(got.seed) is int
+    assert len({got.seed for got in seen}) == 500
