@@ -176,7 +176,12 @@ class Run:
 
     @cached_property
     def match(self):
-        return pipeline.pick_match(self.matches, self.args.match_id)
+        """The --match-id match, or the first in the file."""
+        wanted = self.args.match_id
+        for m in self.matches:
+            if wanted in (None, m.match_id):
+                return m
+        raise MatchPulseError(f"match id not found: {wanted!r}")
 
     @cached_property
     def frame(self):
@@ -405,14 +410,9 @@ def cmd_synth(args, run):
 
 
 def cmd_report(args, run):
-    cmd_ingest(args, run)
-    cmd_test_momentum(args, run)
-    cmd_momentum(args, run)
-    cmd_changepoints(args, run)
-    cmd_shift(args, run)
-    cmd_train(args, run)
-    args.model = os.path.join(args.out, "model.json")
-    cmd_shap(args, run)
+    args.model = os.path.join(args.out, "model.json")     # written by `train`
+    for step in REPORT_STEPS:
+        COMMANDS[step][0](args, run)
     _write_text(args.out, "plot.py", PLOT_STUB)
     _summary(command="report", out=args.out)
 
@@ -493,6 +493,113 @@ class _Command(argparse.ArgumentParser):
         self.set_defaults(**defaults)
 
 
+def _input_opts(p):
+    p.add_argument("--input", help="point-by-point CSV file")
+    p.add_argument("--match-id", default=None,
+                   help="match to analyze (default: first in file)")
+
+
+def _streak_opts(p):
+    p.add_argument("--cap", type=_CAP, default=DEFAULT_CAP,
+                   help="pooling cap for streak lengths")
+    p.add_argument("--exact", action="store_true",
+                   help="always run the Monte-Carlo exact test")
+    p.add_argument("--replicates", type=_REPLICATES, default=100_000,
+                   help="Monte-Carlo replicates of the exact test")
+
+
+def _momentum_opts(p):
+    p.add_argument("--features", type=_feature_list,
+                   default=",".join(DEFAULT_BASE_FEATURES),
+                   help="comma-separated feature ids for the momentum composite")
+    p.add_argument("--epsilon", type=_POSITIVE_REAL,
+                   default=DEFAULT_EPSILON, help="entropy log offset")
+    p.add_argument("--pooled-weights", action="store_true",
+                   help="compute entropy weights across all matches")
+
+
+def _cusum_opts(p):
+    p.add_argument("--drift", type=_DRIFT, default=None,
+                   help="CUSUM drift d (default 0.05 * stdev(M))")
+    p.add_argument("--threshold", type=_POSITIVE_REAL, default=None,
+                   help="CUSUM threshold h (or tuner starting point)")
+    p.add_argument("--target-changepoints", type=_POSITIVE, default=None,
+                   help="tune h toward this change-point count")
+
+
+def _model_opts(p):
+    p.add_argument("--scenario", default="base_m_cp_v",
+                   choices=list(SCENARIOS))
+    p.add_argument("--split", type=_FRACTION, default=0.8,
+                   help="training fraction of the stratified split")
+    p.add_argument("--hidden", type=_POSITIVE, default=8,
+                   help="hidden layer width")
+    p.add_argument("--swarm", type=_POSITIVE, default=30,
+                   help="PSO swarm size")
+    p.add_argument("--pso-iterations", type=_NON_NEGATIVE, default=100)
+    p.add_argument("--learning-rate", type=_POSITIVE_REAL, default=0.05)
+    p.add_argument("--epochs", type=_NON_NEGATIVE, default=500,
+                   help="gradient-descent epochs after PSO")
+
+
+def _eval_seeds_opt(p):
+    p.add_argument("--eval-seeds", type=_POSITIVE, default=5,
+                   help="number of split/train seeds to average")
+
+
+def _model_file_opt(p):
+    p.add_argument("--model", help="model.json from `train`")
+
+
+def _shap_opts(p):
+    p.add_argument("--background", type=_POSITIVE, default=100,
+                   help="background sample size")
+    p.add_argument("--shap-points", type=_POSITIVE, default=20,
+                   help="number of test instances to attribute")
+
+
+def _synth_opts(p):
+    p.add_argument("--matches", type=_POSITIVE, default=31)
+    p.add_argument("--points", type=_POSITIVE, default=235)
+    p.add_argument("--p", type=_FRACTION, default=0.5, help="base win probability")
+    p.add_argument("--boost", type=_FINITE, default=0.0,
+                   help="streak win-probability boost (0 = null process)")
+
+
+_ANALYSIS_GROUPS = (_input_opts, _momentum_opts, _cusum_opts)
+_MODEL_GROUPS = (*_ANALYSIS_GROUPS, _model_opts)
+
+# name -> (function, help, option groups), in `--help` order
+COMMANDS = {
+    "ingest": (cmd_ingest, "parse a CSV and emit derived features",
+               (_input_opts,)),
+    "test-momentum": (cmd_test_momentum,
+                      "streak contingency table and independence tests",
+                      (_input_opts, _streak_opts)),
+    "select-features": (cmd_select_features,
+                        "stepwise AUC feature selection over all matches",
+                        (_input_opts,)),
+    "momentum": (cmd_momentum, "entropy weights and M_t series",
+                 (_input_opts, _momentum_opts)),
+    "changepoints": (cmd_changepoints, "CUSUM change points on M_t", _ANALYSIS_GROUPS),
+    "shift": (cmd_shift, "shift-intensity series V_t", _ANALYSIS_GROUPS),
+    "train": (cmd_train, "train the PSO-seeded network", _MODEL_GROUPS),
+    "evaluate": (cmd_evaluate, "compare the four scenario input layers",
+                 (*_MODEL_GROUPS, _eval_seeds_opt)),
+    "shap": (cmd_shap, "exact Shapley attribution of a model",
+             (*_MODEL_GROUPS, _model_file_opt, _shap_opts)),
+    "synth": (cmd_synth, "generate synthetic point sequences", (_synth_opts,)),
+}
+REPORT_STEPS = ("ingest", "test-momentum", "momentum", "changepoints", "shift",
+                "train", "shap")
+# the steps' option groups, each once; `shap` reads the model `train` wrote
+COMMANDS["report"] = (
+    cmd_report, "full pipeline for one match",
+    tuple(dict.fromkeys(group for step in REPORT_STEPS
+                        for group in COMMANDS[step][2]
+                        if group is not _model_file_opt)))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="matchpulse",
@@ -501,129 +608,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Command)
     parser.commands = {}
-
-    def add(name, fn, **kwargs):
-        p = parser.commands[name] = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    for name, (_, help_text, groups) in COMMANDS.items():
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=_NON_NEGATIVE, default=0,
                        help="master RNG seed")
-        return p
-
-    def add_input(p):
-        p.add_argument("--input", help="point-by-point CSV file")
-        p.add_argument("--match-id", default=None,
-                       help="match to analyze (default: first in file)")
-
-    def add_momentum_opts(p):
-        p.add_argument("--features", type=_feature_list,
-                       default=",".join(DEFAULT_BASE_FEATURES),
-                       help="comma-separated feature ids for the momentum composite")
-        p.add_argument("--epsilon", type=_POSITIVE_REAL,
-                       default=DEFAULT_EPSILON, help="entropy log offset")
-        p.add_argument("--pooled-weights", action="store_true",
-                       help="compute entropy weights across all matches")
-
-    def add_cusum_opts(p):
-        p.add_argument("--drift", type=_DRIFT, default=None,
-                       help="CUSUM drift d (default 0.05 * stdev(M))")
-        p.add_argument("--threshold", type=_POSITIVE_REAL, default=None,
-                       help="CUSUM threshold h (or tuner starting point)")
-        p.add_argument("--target-changepoints", type=_POSITIVE, default=None,
-                       help="tune h toward this change-point count")
-
-    def add_model_opts(p):
-        p.add_argument("--scenario", default="base_m_cp_v",
-                       choices=list(SCENARIOS))
-        p.add_argument("--split", type=_FRACTION, default=0.8,
-                       help="training fraction of the stratified split")
-        p.add_argument("--hidden", type=_POSITIVE, default=8,
-                       help="hidden layer width")
-        p.add_argument("--swarm", type=_POSITIVE, default=30,
-                       help="PSO swarm size")
-        p.add_argument("--pso-iterations", type=_NON_NEGATIVE, default=100)
-        p.add_argument("--learning-rate", type=_POSITIVE_REAL, default=0.05)
-        p.add_argument("--epochs", type=_NON_NEGATIVE, default=500,
-                       help="gradient-descent epochs after PSO")
-
-    def add_streak_opts(p):
-        p.add_argument("--cap", type=_CAP, default=DEFAULT_CAP,
-                       help="pooling cap for streak lengths")
-        p.add_argument("--exact", action="store_true",
-                       help="always run the Monte-Carlo exact test")
-        p.add_argument("--replicates", type=_REPLICATES, default=100_000,
-                       help="Monte-Carlo replicates of the exact test")
-
-    def add_shap_opts(p):
-        p.add_argument("--background", type=_POSITIVE, default=100,
-                       help="background sample size")
-        p.add_argument("--shap-points", type=_POSITIVE, default=20,
-                       help="number of test instances to attribute")
-
-    p = add("ingest", cmd_ingest, help="parse a CSV and emit derived features")
-    add_input(p)
-
-    p = add("test-momentum", cmd_test_momentum,
-            help="streak contingency table and independence tests")
-    add_input(p)
-    add_streak_opts(p)
-
-    p = add("select-features", cmd_select_features,
-            help="stepwise AUC feature selection over all matches")
-    add_input(p)
-
-    p = add("momentum", cmd_momentum, help="entropy weights and M_t series")
-    add_input(p)
-    add_momentum_opts(p)
-
-    p = add("changepoints", cmd_changepoints, help="CUSUM change points on M_t")
-    add_input(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-
-    p = add("shift", cmd_shift, help="shift-intensity series V_t")
-    add_input(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-
-    p = add("train", cmd_train, help="train the PSO-seeded network")
-    add_input(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-    add_model_opts(p)
-
-    p = add("evaluate", cmd_evaluate,
-            help="compare the four scenario input layers")
-    add_input(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-    add_model_opts(p)
-    p.add_argument("--eval-seeds", type=_POSITIVE, default=5,
-                   help="number of split/train seeds to average")
-
-    p = add("shap", cmd_shap, help="exact Shapley attribution of a model")
-    add_input(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-    add_model_opts(p)
-    p.add_argument("--model", help="model.json from `train`")
-    add_shap_opts(p)
-
-    p = add("synth", cmd_synth, help="generate synthetic point sequences")
-    p.add_argument("--matches", type=_POSITIVE, default=31)
-    p.add_argument("--points", type=_POSITIVE, default=235)
-    p.add_argument("--p", type=_FRACTION, default=0.5, help="base win probability")
-    p.add_argument("--boost", type=_FINITE, default=0.0,
-                   help="streak win-probability boost (0 = null process)")
-
-    p = add("report", cmd_report, help="full pipeline for one match")
-    add_input(p)
-    add_streak_opts(p)
-    add_momentum_opts(p)
-    add_cusum_opts(p)
-    add_model_opts(p)
-    add_shap_opts(p)
-
+        for group in groups:
+            group(p)
     return parser
 
 
@@ -632,9 +623,9 @@ def main(argv=None):
     parser = build_parser()
 
     args = parser.parse_args(argv)
-    # config-file values become defaults for a second parse (CLI flags win)
-    if args.config is not None:
-        try:
+    try:
+        # config-file values become defaults for a second parse (CLI flags win)
+        if args.config is not None:
             file_values = _load_config_file(args.config)
             unknown = set(file_values).difference(
                 *(c.options for c in parser.commands.values()))
@@ -642,24 +633,19 @@ def main(argv=None):
                 raise MatchPulseError(f"unknown config keys: {sorted(unknown)}")
             for command in parser.commands.values():
                 command.config_defaults(file_values)
-        except MatchPulseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        args = parser.parse_args(argv)
-    # checked here, not by argparse, so that a config file can supply them
-    command = parser.commands[args.command]
-    missing = [f"--{dest}" for dest in ("input", "model")
-               if dest in command.options and getattr(args, dest) is None]
-    if missing:
-        command.error("the following arguments are required: "
-                      + ", ".join(missing))
-    try:
-        args.fn(args, Run(args))
+            args = parser.parse_args(argv)
+        # checked here, not by argparse, so that a config file can supply them
+        command = parser.commands[args.command]
+        missing = [f"--{dest}" for dest in ("input", "model")
+                   if dest in command.options and getattr(args, dest) is None]
+        if missing:
+            command.error("the following arguments are required: "
+                          + ", ".join(missing))
+        COMMANDS[args.command][0](args, Run(args))
     except MatchPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

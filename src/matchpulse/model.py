@@ -94,7 +94,6 @@ class TrainedNet:
 
     def to_json(self):
         return {
-            "schema_version": 1,
             "config": {"input_dim": self.config.input_dim,
                        "hidden": list(self.config.hidden)},
             "params": self.params.tolist(),

@@ -15,15 +15,6 @@ from . import DEFAULT_BASE_FEATURES, SCENARIOS, changepoint, ewm, ingest, shift
 from .errors import MatchPulseError
 
 
-def pick_match(matches, match_id=None):
-    if match_id is None:
-        return matches[0]
-    for m in matches:
-        if m.match_id == match_id:
-            return m
-    raise MatchPulseError(f"match id not found: {match_id!r}")
-
-
 @dataclass
 class MatchAnalysis:
     frame: ingest.FeatureFrame

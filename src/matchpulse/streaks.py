@@ -185,8 +185,8 @@ def _nonzero_rows(table):
 
 def _populated_rows(table):
     """`_nonzero_rows` of a table the chi-squared and exact tests can run
-    on: at least two such rows, and mass in both columns; else
-    DegenerateMargins."""
+    on, by Monte Carlo or by enumeration: at least two such rows, and mass
+    in both columns; else DegenerateMargins."""
     counts = _nonzero_rows(table)
     if counts.shape[0] < 2 or counts.sum(axis=0).min() <= 0:
         raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
@@ -259,8 +259,9 @@ def _observed_bound(counts):
 
 
 def enumerate_exact_p(table: ContingencyTable) -> float:
-    """Full-enumeration Fisher-style p-value over all tables with the margins."""
-    counts = _nonzero_rows(table).astype(int)
+    """Full-enumeration Fisher-style p-value over all tables with the
+    margins; DegenerateMargins where `exact_test` raises it."""
+    counts = _populated_rows(table).astype(int)
     rows = counts.sum(axis=1)
     col1 = int(counts[:, 0].sum())
     lfm, lfn, bound = _observed_bound(counts)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchpulse import ingest
-from matchpulse.cli import Run, _model_configs, build_parser, main
+from matchpulse.cli import REPORT_STEPS, Run, _model_configs, build_parser, main
 from matchpulse.explain import ShapConfig, shapley_values
 from matchpulse.model import PsoConfig, TrainedNet, _pso_start, stratified_split
 
@@ -903,18 +903,22 @@ def test_plot_stub_runs_on_every_csv_artifact(csv_path, tmp_path, capsys,
             assert line_xs == xs and n_ys == len(rows), name
 
 
-@pytest.mark.parametrize("command, dests", [
-    ("test-momentum", ["cap", "exact", "replicates"]),
-    ("shap", ["background", "shap_points"]),
+@pytest.mark.parametrize("step, dest", [
+    (step, dest) for step in REPORT_STEPS
+    for dest in build_parser().commands[step].options
+    if (step, dest) != ("shap", "model")
 ])
-def test_report_flags_match_their_commands(command, dests):
+def test_report_flags_match_their_commands(step, dest):
     commands = build_parser().commands
-    for dest in dests:
-        own = commands[command].options[dest]
-        report = commands["report"].options[dest]
-        assert (report.type, report.default, report.help) == \
-            (own.type, own.default, own.help), dest
-        assert own.help
+    own = commands[step].options[dest]
+    report = commands["report"].options[dest]
+    assert (report.type, report.default, report.help, report.choices) == \
+        (own.type, own.default, own.help, own.choices)
+
+
+def test_report_has_no_model_flag():
+    # `report` passes its `train` step's model.json to its `shap` step
+    assert "model" not in build_parser().commands["report"].options
 
 
 def test_diverging_descent_exits_1_without_warnings(csv_path, tmp_path):

@@ -177,6 +177,16 @@ def test_chi2_degenerate_margins():
         chi_squared_test(ContingencyTable(np.array([[3, 0], [5, 0]]), cap=2))
 
 
+@pytest.mark.parametrize("test", [chi_squared_test, exact_test, enumerate_exact_p])
+@pytest.mark.parametrize("counts", [
+    [[3, 1], [0, 0], [0, 0]],       # one populated row
+    [[3, 0], [2, 0], [0, 0]],       # an empty termination column
+])
+def test_degenerate_tables_are_refused(test, counts):
+    with pytest.raises(DegenerateMargins):
+        test(ContingencyTable(np.array(counts), cap=3))
+
+
 def test_chi2_nonnegative_random():
     rng = np.random.default_rng(1)
     for _ in range(30):
