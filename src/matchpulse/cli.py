@@ -495,8 +495,6 @@ class _Command(argparse.ArgumentParser):
 
 def _input_opts(p):
     p.add_argument("--input", help="point-by-point CSV file")
-    p.add_argument("--match-id", default=None,
-                   help="match to analyze (default: first in file)")
 
 
 def _streak_opts(p):
@@ -509,6 +507,8 @@ def _streak_opts(p):
 
 
 def _momentum_opts(p):
+    p.add_argument("--match-id", default=None,
+                   help="match to analyze (default: first in file)")
     p.add_argument("--features", type=_feature_list,
                    default=",".join(DEFAULT_BASE_FEATURES),
                    help="comma-separated feature ids for the momentum composite")
@@ -527,9 +527,12 @@ def _cusum_opts(p):
                    help="tune h toward this change-point count")
 
 
-def _model_opts(p):
+def _scenario_opt(p):
     p.add_argument("--scenario", default="base_m_cp_v",
                    choices=list(SCENARIOS))
+
+
+def _model_opts(p):
     p.add_argument("--split", type=_FRACTION, default=0.8,
                    help="training fraction of the stratified split")
     p.add_argument("--hidden", type=_POSITIVE, default=8,
@@ -567,7 +570,7 @@ def _synth_opts(p):
 
 
 _ANALYSIS_GROUPS = (_input_opts, _momentum_opts, _cusum_opts)
-_MODEL_GROUPS = (*_ANALYSIS_GROUPS, _model_opts)
+_MODEL_GROUPS = (*_ANALYSIS_GROUPS, _scenario_opt, _model_opts)
 
 # name -> (function, help, option groups), in `--help` order
 COMMANDS = {
@@ -585,7 +588,7 @@ COMMANDS = {
     "shift": (cmd_shift, "shift-intensity series V_t", _ANALYSIS_GROUPS),
     "train": (cmd_train, "train the PSO-seeded network", _MODEL_GROUPS),
     "evaluate": (cmd_evaluate, "compare the four scenario input layers",
-                 (*_MODEL_GROUPS, _eval_seeds_opt)),
+                 (*_ANALYSIS_GROUPS, _model_opts, _eval_seeds_opt)),
     "shap": (cmd_shap, "exact Shapley attribution of a model",
              (*_MODEL_GROUPS, _model_file_opt, _shap_opts)),
     "synth": (cmd_synth, "generate synthetic point sequences", (_synth_opts,)),

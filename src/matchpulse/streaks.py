@@ -9,6 +9,7 @@ Streaks never cross match boundaries.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -178,16 +179,11 @@ def transition_probs(table: ContingencyTable):
     return probs
 
 
-def _nonzero_rows(table):
-    mask = table.row_margins > 0
-    return table.counts[mask].astype(float)
-
-
 def _populated_rows(table):
-    """`_nonzero_rows` of a table the chi-squared and exact tests can run
-    on, by Monte Carlo or by enumeration: at least two such rows, and mass
-    in both columns; else DegenerateMargins."""
-    counts = _nonzero_rows(table)
+    """The nonzero-margin rows of a table the chi-squared and exact tests
+    can run on, by Monte Carlo or by enumeration: at least two such rows,
+    and mass in both columns; else DegenerateMargins."""
+    counts = table.counts[table.row_margins > 0].astype(float)
     if counts.shape[0] < 2 or counts.sum(axis=0).min() <= 0:
         raise DegenerateMargins("need >= 2 populated rows and both columns > 0")
     return counts
@@ -233,63 +229,45 @@ def chi_squared_test(table: ContingencyTable) -> TestResult:
     return TestResult("pearson_chi2", stat, df, p, validity)
 
 
-def _log_table_prob(counts, log_fact_margins, log_fact_n):
-    # multivariate hypergeometric probability of a table given its margins
-    return log_fact_margins - log_fact_n - sum(
-        math.lgamma(c + 1) for c in counts.flat
-    )
-
-
-def _margin_log_consts(counts):
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    lfm = sum(math.lgamma(r + 1) for r in rows) + sum(
-        math.lgamma(c + 1) for c in cols
-    )
-    return lfm, math.lgamma(counts.sum() + 1)
-
-
 def _observed_bound(counts):
-    """(log margin constants, log probability bound): a table counts toward
-    the p-value when its log probability is at most the observed table's,
-    within a relative and absolute tolerance of 1e-9."""
-    lfm, lfn = _margin_log_consts(counts)
-    obs_lp = _log_table_prob(counts, lfm, lfn)
-    return lfm, lfn, obs_lp + (1e-9 * abs(obs_lp) + 1e-9)
+    """(log of the margins' factorials over n!, log probability bound).
+
+    Given its margins, a table's multivariate hypergeometric log
+    probability is the first value minus the log factorial of each cell. A
+    table counts toward the p-value when its log probability is at most
+    the observed table's, within a relative and absolute tolerance of 1e-9.
+    """
+    lfm = sum(math.lgamma(r + 1) for r in counts.sum(axis=1)) + sum(
+        math.lgamma(c + 1) for c in counts.sum(axis=0))
+    lfn = math.lgamma(counts.sum() + 1)
+    obs_lp = lfm - lfn - sum(math.lgamma(c + 1) for c in counts.flat)
+    return lfm - lfn, obs_lp + (1e-9 * abs(obs_lp) + 1e-9)
 
 
 def enumerate_exact_p(table: ContingencyTable) -> float:
     """Full-enumeration Fisher-style p-value over all tables with the
-    margins; DegenerateMargins where `exact_test` raises it."""
+    margins; DegenerateMargins where `exact_test` raises it.
+
+    Every split of the extension column's mass over the rows is scored:
+    the first k - 1 rows take any count up to their size, the last row the
+    rest. The cost grows with the product of the row sizes, so this is for
+    small tables.
+    """
     counts = _populated_rows(table).astype(int)
-    rows = counts.sum(axis=1)
+    rows = counts.sum(axis=1).tolist()
     col1 = int(counts[:, 0].sum())
-    lfm, lfn, bound = _observed_bound(counts)
-
+    base, bound = _observed_bound(counts)
+    # log(x! (r - x)!) for each row's every extension count x
+    terms = [[math.lgamma(x + 1) + math.lgamma(r - x + 1) for x in range(r + 1)]
+             for r in rows]
+    last = terms.pop()
     total_p = 0.0
-
-    def rec(i, remaining, partial_lp):
-        nonlocal total_p
-        if i == len(rows) - 1:
-            if 0 <= remaining <= rows[i]:
-                lp = (
-                    partial_lp + lfm - lfn
-                    - math.lgamma(remaining + 1)
-                    - math.lgamma(rows[i] - remaining + 1)
-                )
-                if lp <= bound:
-                    total_p += math.exp(lp)
-            return
-        lo = max(0, remaining - int(rows[i + 1:].sum()))
-        hi = min(rows[i], remaining)
-        for x in range(lo, hi + 1):
-            rec(
-                i + 1,
-                remaining - x,
-                partial_lp - math.lgamma(x + 1) - math.lgamma(rows[i] - x + 1),
-            )
-
-    rec(0, col1, 0.0)
+    for xs in itertools.product(*(range(r + 1) for r in rows[:-1])):
+        rest = col1 - sum(xs)
+        if 0 <= rest <= rows[-1]:
+            lp = base - sum(t[x] for t, x in zip(terms, xs)) - last[rest]
+            if lp <= bound:
+                total_p += math.exp(lp)
     return min(total_p, 1.0)
 
 
@@ -305,7 +283,7 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
         raise ValueError("replicates must be >= 1000")
     counts = _populated_rows(table).astype(int)
     rows = counts.sum(axis=1)
-    lfm, lfn, bound = _observed_bound(counts)
+    base, bound = _observed_bound(counts)
 
     rng = np.random.default_rng(seed)
     col1 = int(counts[:, 0].sum())
@@ -318,7 +296,7 @@ def exact_test(table: ContingencyTable, replicates=100_000, seed=0) -> TestResul
     # are those of one whole-array call, without its temporaries
     remaining_pop = n
     remaining_col = np.full(replicates, col1)
-    lp = np.full(replicates, lfm - lfn)
+    lp = np.full(replicates, base)
     for i in range(k):
         r = int(rows[i])
         for start in range(0, replicates, EXACT_SLICE):

@@ -1,7 +1,7 @@
 """Shared fixtures: full-schema synthetic matches read from CSV.
 
 Real tournament data is not redistributed, so tests that need the whole
-37-column layout take the benchmark's seeded generator, `bench/corpus.py`
+42-column layout take the benchmark's seeded generator, `bench/corpus.py`
 (streak-boosted point outcomes, score tokens that follow real scoring
 rules, per-point flags drawn conditionally on the point winner), and read
 its CSV with `parse_csv`, the way the CLI reads an input file.

@@ -22,6 +22,7 @@ from matchpulse import ingest
 from matchpulse.cli import REPORT_STEPS, Run, _model_configs, build_parser, main
 from matchpulse.explain import ShapConfig, shapley_values
 from matchpulse.model import PsoConfig, TrainedNet, _pso_start, stratified_split
+from matchpulse.stats import stepwise_select
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FAST_MODEL = ["--hidden", "3", "--swarm", "6", "--pso-iterations", "10",
@@ -194,6 +195,22 @@ def test_unknown_flag_exits_2(csv_path):
     with pytest.raises(SystemExit) as exc:
         main(["momentum", "--input", csv_path, "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # these read every match in the file
+    ["ingest", "--match-id", "nope"],
+    ["test-momentum", "--match-id", "nope"],
+    ["select-features", "--match-id", "nope"],
+    # evaluate compares all four scenarios
+    ["evaluate", "--scenario", "base"],
+])
+def test_flag_the_command_would_ignore_exits_2(argv, csv_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", csv_path, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_subcommand_exits_2():
@@ -405,6 +422,26 @@ def test_select_features_refusal_is_unchanged(tmp_path, capsys):
                                 "--out", str(tmp_path / "out")])
     assert code == 1
     assert err.splitlines()[-1] == "error: gradient norm 3.21e-07 after 100 iters"
+
+
+def test_select_features_writes_the_stepwise_trace(tmp_path, capsys):
+    # select-features refuses the bench corpora (above), but not this one
+    text = corpus.corpus_csv(3, 120, 0.1, 1)
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code, summary, _ = run(capsys, ["select-features", "--input", str(path),
+                                    "--out", str(out)])
+    assert code == 0
+    frames = [ingest.derive_features(m)
+              for m in ingest.parse_csv(io.StringIO(text))]
+    trace = stepwise_select(np.vstack([f.features for f in frames]),
+                            np.concatenate([f.outcome for f in frames]),
+                            feature_ids=ingest.FEATURE_IDS)
+    doc = json.loads((out / "selection.json").read_text())
+    assert doc == {"schema_version": 1, **trace.to_json()}
+    assert summary == {"command": "select-features",
+                       "selected": trace.final_features, "auc": trace.final_auc}
 
 
 def _swap_first_points(lines):

@@ -1,13 +1,16 @@
 import io
+import itertools
 import math
 import tracemalloc
 
 import corpus
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
+from scipy.stats import fisher_exact
 
 from matchpulse import streaks
 from matchpulse.errors import DegenerateMargins, EmptyStreaks
@@ -113,7 +116,7 @@ binary_matches = st.lists(st.lists(st.integers(0, 1), max_size=40), max_size=6)
 outcome_dtypes = st.sampled_from([int, np.uint8, bool, float])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(binary_matches, st.integers(2, 10), outcome_dtypes)
 def test_contingency_from_sequences_equals_pooled_records(matches, cap, dtype):
     seqs = [np.array(m, dtype=dtype) for m in matches]
@@ -222,6 +225,19 @@ def test_exact_mc_matches_enumeration_small_tables():
         checked += 1
 
 
+def test_enumeration_equals_fisher_on_every_small_2x2_table():
+    checked = 0
+    for cells in itertools.product(range(7), repeat=4):
+        t = np.array(cells).reshape(2, 2)
+        if (t.sum(axis=0) == 0).any() or (t.sum(axis=1) == 0).any():
+            continue
+        expected = fisher_exact(t, alternative="two-sided")[1]
+        p = enumerate_exact_p(ContingencyTable(t, cap=2))
+        assert p == pytest.approx(expected, rel=1e-9), cells
+        checked += 1
+    assert checked == 2232
+
+
 def test_exact_mc_p_is_unchanged_for_fixed_seed():
     # recorded from the scipy.special.gammaln version of the sampler
     table = ContingencyTable(np.array([[12, 5], [7, 9], [3, 8], [2, 6]]), cap=4)
@@ -231,11 +247,14 @@ def test_exact_mc_p_is_unchanged_for_fixed_seed():
 
 def whole_array_exact_p(table, replicates, seed):
     """The exact test's p-value drawn as exact_test once drew it: each row's
-    hypergeometric counts for every replicate in one call, kept as an oracle."""
-    counts = streaks._nonzero_rows(table).astype(int)
+    hypergeometric counts for every replicate in one call, kept as an oracle.
+    It computes the observed table's bound itself, not through `streaks`."""
+    counts = table.counts[table.row_margins > 0]
     rows = counts.sum(axis=1)
-    lfm, lfn = streaks._margin_log_consts(counts)
-    obs_lp = streaks._log_table_prob(counts, lfm, lfn)
+    lfm = sum(math.lgamma(r + 1) for r in rows) + sum(
+        math.lgamma(c + 1) for c in counts.sum(axis=0))
+    lfn = math.lgamma(counts.sum() + 1)
+    obs_lp = lfm - lfn - sum(math.lgamma(c + 1) for c in counts.flat)
     tol = 1e-9 * abs(obs_lp) + 1e-9
     rng = np.random.default_rng(seed)
     n = int(counts.sum())
@@ -369,7 +388,7 @@ def reference_conditional_win_probs(sequences, cap):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(binary_matches, st.integers(2, 10), outcome_dtypes)
 def test_conditional_probs_equal_per_point_loop(matches, cap, dtype):
     seqs = [np.array(m, dtype=dtype) for m in matches]
