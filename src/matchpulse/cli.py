@@ -241,7 +241,7 @@ def cmd_test_momentum(args, run):
     table = streaks.contingency_from_sequences(sequences, cap=args.cap)
     chi = streaks.chi_squared_test(table)
     result = {"table": table.to_json(), "pearson": chi.to_json()}
-    if not chi.validity or args.exact:
+    if args.exact or not chi.validity:
         exact = streaks.exact_test(table, replicates=args.replicates,
                                    seed=args.seed)
         result["exact"] = exact.to_json()
@@ -493,6 +493,11 @@ class _Command(argparse.ArgumentParser):
         self.set_defaults(**defaults)
 
 
+def _seed_opt(p):
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0,
+                   help="master RNG seed")
+
+
 def _input_opts(p):
     p.add_argument("--input", help="point-by-point CSV file")
 
@@ -532,9 +537,12 @@ def _scenario_opt(p):
                    choices=list(SCENARIOS))
 
 
-def _model_opts(p):
+def _split_opt(p):
     p.add_argument("--split", type=_FRACTION, default=0.8,
                    help="training fraction of the stratified split")
+
+
+def _model_opts(p):
     p.add_argument("--hidden", type=_POSITIVE, default=8,
                    help="hidden layer width")
     p.add_argument("--swarm", type=_POSITIVE, default=30,
@@ -570,7 +578,8 @@ def _synth_opts(p):
 
 
 _ANALYSIS_GROUPS = (_input_opts, _momentum_opts, _cusum_opts)
-_MODEL_GROUPS = (*_ANALYSIS_GROUPS, _scenario_opt, _model_opts)
+# `shap` splits the match as `train` does, but trains nothing
+_SPLIT_GROUPS = (_seed_opt, *_ANALYSIS_GROUPS, _scenario_opt, _split_opt)
 
 # name -> (function, help, option groups), in `--help` order
 COMMANDS = {
@@ -578,7 +587,7 @@ COMMANDS = {
                (_input_opts,)),
     "test-momentum": (cmd_test_momentum,
                       "streak contingency table and independence tests",
-                      (_input_opts, _streak_opts)),
+                      (_seed_opt, _input_opts, _streak_opts)),
     "select-features": (cmd_select_features,
                         "stepwise AUC feature selection over all matches",
                         (_input_opts,)),
@@ -586,21 +595,22 @@ COMMANDS = {
                  (_input_opts, _momentum_opts)),
     "changepoints": (cmd_changepoints, "CUSUM change points on M_t", _ANALYSIS_GROUPS),
     "shift": (cmd_shift, "shift-intensity series V_t", _ANALYSIS_GROUPS),
-    "train": (cmd_train, "train the PSO-seeded network", _MODEL_GROUPS),
+    "train": (cmd_train, "train the PSO-seeded network", (*_SPLIT_GROUPS, _model_opts)),
     "evaluate": (cmd_evaluate, "compare the four scenario input layers",
-                 (*_ANALYSIS_GROUPS, _model_opts, _eval_seeds_opt)),
+                 (_seed_opt, *_ANALYSIS_GROUPS, _split_opt, _model_opts,
+                  _eval_seeds_opt)),
     "shap": (cmd_shap, "exact Shapley attribution of a model",
-             (*_MODEL_GROUPS, _model_file_opt, _shap_opts)),
-    "synth": (cmd_synth, "generate synthetic point sequences", (_synth_opts,)),
+             (*_SPLIT_GROUPS, _model_file_opt, _shap_opts)),
+    "synth": (cmd_synth, "generate synthetic point sequences", (_seed_opt, _synth_opts)),
 }
 REPORT_STEPS = ("ingest", "test-momentum", "momentum", "changepoints", "shift",
                 "train", "shap")
-# the steps' option groups, each once; `shap` reads the model `train` wrote
+# `--seed` first, then the steps' groups once each; `shap` reads `train`'s model
 COMMANDS["report"] = (
     cmd_report, "full pipeline for one match",
-    tuple(dict.fromkeys(group for step in REPORT_STEPS
-                        for group in COMMANDS[step][2]
-                        if group is not _model_file_opt)))
+    (_seed_opt, *dict.fromkeys(group for step in REPORT_STEPS
+                               for group in COMMANDS[step][2]
+                               if group not in (_seed_opt, _model_file_opt))))
 
 
 def build_parser():
@@ -614,8 +624,6 @@ def build_parser():
     for name, (_, help_text, groups) in COMMANDS.items():
         p = parser.commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_NON_NEGATIVE, default=0,
-                       help="master RNG seed")
         for group in groups:
             group(p)
     return parser
@@ -645,7 +653,8 @@ def main(argv=None):
             command.error("the following arguments are required: "
                           + ", ".join(missing))
         COMMANDS[args.command][0](args, Run(args))
-    except MatchPulseError as exc:
+    # MemoryError: a count too large to allocate, e.g. --replicates 10**13
+    except (MatchPulseError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

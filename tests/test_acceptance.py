@@ -376,8 +376,8 @@ def test_criterion_14_cli_reproducibility(tmp_path, synthetic_csv, capsys):
             "--epochs", "30"]
     commands = [
         ["test-momentum", "--input", str(path), "--seed", "2"],
-        ["momentum", "--input", str(path), "--seed", "2"],
-        ["changepoints", "--input", str(path), "--seed", "2"],
+        ["momentum", "--input", str(path)],
+        ["changepoints", "--input", str(path)],
         ["shift", "--input", str(path), "--target-changepoints", "6"],
         ["train", "--input", str(path), "--seed", "2"] + fast,
     ]

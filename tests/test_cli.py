@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -18,8 +19,9 @@ from conftest import match_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchpulse import ingest
-from matchpulse.cli import REPORT_STEPS, Run, _model_configs, build_parser, main
+from matchpulse import cli, ingest
+from matchpulse.cli import (COMMANDS, REPORT_STEPS, Run, _model_configs,
+                            build_parser, main)
 from matchpulse.explain import ShapConfig, shapley_values
 from matchpulse.model import PsoConfig, TrainedNet, _pso_start, stratified_split
 from matchpulse.stats import stepwise_select
@@ -122,7 +124,7 @@ def test_train_then_shap(csv_path, tmp_path, capsys):
     code, summary, _ = run(capsys, ["shap", "--input", csv_path,
                                     "--out", out2, "--model", model,
                                     "--background", "12",
-                                    "--shap-points", "2"] + FAST_MODEL)
+                                    "--shap-points", "2"])
     assert code == 0
     ranking = pathlib.Path(out2, "shap.csv").read_text().splitlines()
     assert ranking[0] == "feature,mean_abs_phi,rank"
@@ -147,7 +149,7 @@ def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
     model = tmp_path / "narrow.json"
     model.write_text(json.dumps(doc))
     argv = ["shap", "--input", csv_path, "--model", str(model),
-            "--background", "12", "--shap-points", "3"] + FAST_MODEL
+            "--background", "12", "--shap-points", "3"]
     assert run(capsys, argv + ["--out", str(tmp_path / "shap")])[0] == 0
     rows = (tmp_path / "shap" / "shap_points.csv").read_text().splitlines()
 
@@ -184,16 +186,26 @@ def test_evaluate_scenarios(csv_path, tmp_path, capsys):
 
 
 def test_rerun_is_byte_identical(csv_path, tmp_path, capsys):
-    argv = ["changepoints", "--input", csv_path, "--seed", "3"]
+    argv = ["changepoints", "--input", csv_path]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(capsys, argv + ["--out", out1])[0] == 0
     assert run(capsys, argv + ["--out", out2])[0] == 0
     assert artifacts(out1) == artifacts(out2)
 
 
-def test_unknown_flag_exits_2(csv_path):
+@pytest.mark.parametrize("argv", [
+    ["momentum", "--no-such-flag"],
+    # these draw no random number
+    *[[command, "--seed", "5"] for command in
+      ["ingest", "select-features", "momentum", "changepoints", "shift"]],
+    # `shap` trains nothing
+    *[["shap", flag, value] for flag, value in
+      [("--hidden", "3"), ("--swarm", "6"), ("--pso-iterations", "10"),
+       ("--learning-rate", "0.1"), ("--epochs", "3")]],
+])
+def test_unknown_flag_exits_2(argv, csv_path):
     with pytest.raises(SystemExit) as exc:
-        main(["momentum", "--input", csv_path, "--no-such-flag"])
+        main(argv + ["--input", csv_path])
     assert exc.value.code == 2
 
 
@@ -277,7 +289,7 @@ def test_config_file_supplies_input(csv_path, tmp_path, capsys):
 
 
 def test_config_file_supplies_model(shap_fuzz_setup, tmp_path, capsys):
-    shap, text, _ = shap_fuzz_setup
+    shap, text, root = shap_fuzz_setup
     model = tmp_path / "model.json"
     model.write_text(text)
     cfg = tmp_path / "model.cfg"
@@ -285,6 +297,19 @@ def test_config_file_supplies_model(shap_fuzz_setup, tmp_path, capsys):
     code, _, err = run(capsys, ["--config", str(cfg), *shap,
                                 "--out", str(tmp_path / "s")])
     assert (code, err) == (0, "")
+
+    # one file for `train` and `shap`: a command skips the keys it lacks
+    shared = tmp_path / "shared.cfg"
+    shared.write_text(f"model={model}\nseed=9\nepochs=30\n")
+    code, _, err = run(capsys, ["--config", str(shared), *shap,
+                                "--out", str(tmp_path / "s2")])
+    assert (code, err) == (0, "")
+    ingest = ["ingest", "--input", str(root / "points.csv")]
+    for config, out in [([], "i"), (["--config", str(shared)], "i2")]:
+        out = str(tmp_path / out)
+        assert run(capsys, [*config, *ingest, "--out", out])[0] == 0
+    assert ((tmp_path / "i2" / "features.csv").read_bytes()
+            == (tmp_path / "i" / "features.csv").read_bytes())
 
 
 def test_missing_input_and_model_exit_2(tmp_path, capsys):
@@ -478,8 +503,7 @@ def test_shap_rejects_a_model_of_another_width(csv_path, tmp_path, capsys):
                         *FAST_MODEL])[0] == 0
     code, err = run_process(["shap", "--input", csv_path,
                              "--out", str(tmp_path / "x"), "--scenario", "base",
-                             "--model", os.path.join(out, "model.json"),
-                             *FAST_MODEL])
+                             "--model", os.path.join(out, "model.json")])
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "takes 9 inputs" in err and "'base' has 6 columns" in err
@@ -605,9 +629,10 @@ def shap_fuzz_setup(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     path = root / "points.csv"
     path.write_text(corpus.corpus_csv(1, 120, None, 3))
-    common = ["--input", str(path)] + FAST_MODEL
+    common = ["--input", str(path)]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["train", "--out", str(root / "train")] + common) == 0
+        assert main(["train", "--out", str(root / "train")] + common
+                    + FAST_MODEL) == 0
     text = (root / "train" / "model.json").read_text()
     shap = ["shap", "--out", str(root / "shap"), "--background", "5",
             "--shap-points", "1"] + common
@@ -686,8 +711,7 @@ def test_shap_rejects_broken_model_without_traceback(csv_path, tmp_path, capsys)
         model = tmp_path / name
         model.write_text(content)
         code, err = run_process(["shap", "--input", csv_path, "--model",
-                                 str(model), "--out", str(tmp_path / "shap")]
-                                + FAST_MODEL)
+                                 str(model), "--out", str(tmp_path / "shap")])
         assert code == 1, name
         assert err.startswith("error:") and "Traceback" not in err, err
 
@@ -730,7 +754,7 @@ def test_report_equals_individual_commands(csv_path, tmp_path, capsys,
     steps = [["ingest"], ["test-momentum"] + streak, ["momentum"] + momentum,
              ["changepoints"] + cusum, ["shift"] + cusum, ["train"] + model,
              ["shap", "--model", os.path.join("out", "model.json")]
-             + model + shap]
+             + cusum + shap]
 
     def stdout_of(argv):
         assert main(argv + ["--input", csv_path, "--out", "out"]) == 0
@@ -958,6 +982,47 @@ def test_report_has_no_model_flag():
     assert "model" not in build_parser().commands["report"].options
 
 
+# flags that keep each run small; the read check passes without them too
+SMALL_RUN = {
+    "test-momentum": ["--replicates", "1000"],
+    "train": FAST_MODEL,
+    "evaluate": [*FAST_MODEL, "--eval-seeds", "1"],
+    "shap": ["--background", "5", "--shap-points", "1"],
+    "synth": ["--matches", "2", "--points", "30"],
+    "report": ["--replicates", "1000", *FAST_MODEL, "--background", "5",
+               "--shap-points", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_option_is_read(command, tmp_path, capsys, monkeypatch):
+    # an option the run never reads is accepted and silently ignored
+    path = tmp_path / "points.csv"
+    path.write_text(corpus.corpus_csv(3, 120, 0.1, 1))
+    argv = [command, "--out", str(tmp_path / "out"), *SMALL_RUN.get(command, [])]
+    if "input" in build_parser().commands[command].options:
+        argv += ["--input", str(path)]
+    if command == "shap":
+        assert main(["train", "--input", str(path), "--out", str(tmp_path),
+                     *FAST_MODEL]) == 0
+        argv += ["--model", str(tmp_path / "model.json")]
+
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    parse = parser.parse_args
+    parser.parse_args = lambda argv: Recording(**vars(parse(argv)))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert main(argv) == 0
+    capsys.readouterr()
+    unread = {"config", *parser.commands[command].options} - {"help"} - reads
+    assert not unread
+
 def test_diverging_descent_exits_1_without_warnings(csv_path, tmp_path):
     code, err = run_process(["train", "--input", csv_path,
                              "--out", str(tmp_path / "x"),
@@ -965,6 +1030,17 @@ def test_diverging_descent_exits_1_without_warnings(csv_path, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "diverged" in err
     assert "Warning" not in err
+
+
+def test_count_too_large_to_allocate_exits_1_without_traceback(tmp_path):
+    # the exact test's first array already fails, so nothing is allocated
+    path = tmp_path / "points.csv"
+    path.write_text(corpus.corpus_csv(1, 300, 0.1, 1))
+    code, err = run_process(["test-momentum", "--input", str(path),
+                             "--out", str(tmp_path / "x"), "--exact",
+                             "--replicates", "10000000000000"])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
@@ -976,12 +1052,12 @@ def test_empty_test_split_is_a_domain_error(tmp_path, capsys):
     assert run(capsys, ["train", "--input", str(path), "--out", model_dir,
                         "--split", "0.5", *FAST_MODEL])[0] == 0
     model = os.path.join(model_dir, "model.json")
-    for i, argv in enumerate([["train"], ["evaluate", "--eval-seeds", "2"],
+    for i, argv in enumerate([["train", *FAST_MODEL],
+                              ["evaluate", "--eval-seeds", "2", *FAST_MODEL],
                               ["shap", "--model", model]]):
         out = tmp_path / f"out{i}"
         code, summary, err = run(capsys, argv + [
-            "--input", str(path), "--out", str(out), "--split", "0.95",
-            *FAST_MODEL])
+            "--input", str(path), "--out", str(out), "--split", "0.95"])
         assert code == 1 and summary == {}
         assert err.startswith("error:") and "split" in err, err
         assert not out.exists()
