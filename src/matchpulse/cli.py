@@ -125,7 +125,7 @@ def _summary(**kwargs):
 
 def _load_config_file(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise MatchPulseError(f"cannot read config {path!r}: {exc}") from None
@@ -410,6 +410,7 @@ def cmd_synth(args, run):
 
 
 def cmd_report(args, run):
+    run.match               # a bad --match-id fails before any step writes
     args.model = os.path.join(args.out, "model.json")     # written by `train`
     for step in REPORT_STEPS:
         COMMANDS[step][0](args, run)

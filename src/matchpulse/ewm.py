@@ -34,7 +34,6 @@ class WeightVector:
 
 @dataclass
 class MomentumSeries:
-    match_id: str
     values: np.ndarray
 
     @property
@@ -67,15 +66,14 @@ def entropy_weights(z: StandardizedFrame, epsilon=DEFAULT_EPSILON) -> WeightVect
     return WeightVector(list(z.column_ids), w, e, epsilon)
 
 
-def momentum_series(z: StandardizedFrame, w: WeightVector,
-                    match_id="") -> MomentumSeries:
+def momentum_series(z: StandardizedFrame, w: WeightVector) -> MomentumSeries:
     """M_t = sum_i w_i z_it over the weight vector's columns."""
     missing = [c for c in w.column_ids if c not in z.column_ids]
     if missing:
         raise ColumnMismatch(f"weight columns absent from frame: {missing}")
     idx = [z.column_ids.index(c) for c in w.column_ids]
     values = z.z[:, idx] @ w.weights
-    return MomentumSeries(match_id, values)
+    return MomentumSeries(values)
 
 
 def pooled_entropy_weights(frames, epsilon=DEFAULT_EPSILON) -> WeightVector:
@@ -86,9 +84,5 @@ def pooled_entropy_weights(frames, epsilon=DEFAULT_EPSILON) -> WeightVector:
     for f in frames[1:]:
         if f.column_ids != cols:
             raise ColumnMismatch("frames disagree on columns")
-    stacked = StandardizedFrame(
-        np.vstack([f.z for f in frames]), cols,
-        np.min([f.mins for f in frames], axis=0),
-        np.max([f.maxs for f in frames], axis=0),
-    )
-    return entropy_weights(stacked, epsilon)
+    return entropy_weights(
+        StandardizedFrame(np.vstack([f.z for f in frames]), cols), epsilon)

@@ -193,12 +193,31 @@ class FeatureFrame:
 class StandardizedFrame:
     z: np.ndarray                   # T x m, entries in [0,1]
     column_ids: list
-    mins: np.ndarray
-    maxs: np.ndarray
 
     @property
     def T(self):
         return self.z.shape[0]
+
+
+@dataclass
+class MinMaxScaler:
+    mins: np.ndarray
+    maxs: np.ndarray
+
+    @classmethod
+    def fit(cls, X):
+        X = np.atleast_2d(X)
+        return cls(X.min(axis=0), X.max(axis=0))
+
+    def transform(self, X):
+        """Rows of X mapped by (x - mins) / (maxs - mins) and clipped to
+        [-0.5, 1.5]; a constant training column maps to 0."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        span = self.maxs - self.mins
+        safe = np.where(span > 0, span, 1.0)
+        z = (X - self.mins) / safe
+        z[:, span == 0] = 0.0
+        return np.clip(z, -0.5, 1.5)
 
 
 # non-blank rows read and converted at a time: one block of cell strings is
@@ -442,21 +461,15 @@ def standardize(frame: FeatureFrame, columns) -> StandardizedFrame:
     """Min-max standardize the requested columns into [0,1].
 
     Positive columns map via (x-min)/(max-min), negative columns
-    (NEGATIVE_FEATURES) via (max-x)/(max-min). Constant columns map to
+    (NEGATIVE_FEATURES) via (max-x)/(max-min), as one MinMaxScaler fitted
+    on the columns with the negative ones negated. Constant columns map to
     all-zeros. UnknownColumn names the first id that is not a feature.
     """
     columns = list(columns)
-    T = frame.T
-    z = np.zeros((T, len(columns)))
-    mins = np.zeros(len(columns))
-    maxs = np.zeros(len(columns))
+    x = np.zeros((frame.T, len(columns)))
     for j, c in enumerate(columns):
-        x = frame.column(c)
-        lo, hi = x.min(), x.max()
-        mins[j], maxs[j] = lo, hi
-        if hi > lo:
-            if c in NEGATIVE_FEATURES:
-                z[:, j] = (hi - x) / (hi - lo)
-            else:
-                z[:, j] = (x - lo) / (hi - lo)
-    return StandardizedFrame(z, columns, mins, maxs)
+        x[:, j] = -frame.column(c) if c in NEGATIVE_FEATURES else frame.column(c)
+    # -0.0 becomes 0.0, so that every zero of z is +0.0 whichever signed
+    # zero numpy's reduction picks as a column's bound
+    x += 0.0
+    return StandardizedFrame(MinMaxScaler.fit(x).transform(x), columns)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadLabels, BadModel, DimMismatch, NonFiniteLoss, SingleClass
+from .ingest import MinMaxScaler
 from .stats import MetricsReport, classification_metrics, sigmoid, single_class
 
 # global-best PSO: velocity weights, the search box [-BOUND, BOUND] and the
@@ -50,27 +51,6 @@ class PsoConfig:
 class BpConfig:
     learning_rate: float = 0.05
     epochs: int = 500
-
-
-@dataclass
-class MinMaxScaler:
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @classmethod
-    def fit(cls, X):
-        X = np.atleast_2d(X)
-        return cls(X.min(axis=0), X.max(axis=0))
-
-    def transform(self, X):
-        """Rows of X mapped by (x - mins) / (maxs - mins) and clipped to
-        [-0.5, 1.5]; a constant training column maps to 0."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        span = self.maxs - self.mins
-        safe = np.where(span > 0, span, 1.0)
-        z = (X - self.mins) / safe
-        z[:, span == 0] = 0.0
-        return np.clip(z, -0.5, 1.5)
 
 
 @dataclass

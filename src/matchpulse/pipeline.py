@@ -34,7 +34,7 @@ def analyze_momentum(frame: ingest.FeatureFrame, features=None,
         features = DEFAULT_BASE_FEATURES
     z = ingest.standardize(frame, features)
     w = weights or ewm.entropy_weights(z, epsilon)
-    series = ewm.momentum_series(z, w, frame.match_id)
+    series = ewm.momentum_series(z, w)
     return MatchAnalysis(frame, w, series)
 
 

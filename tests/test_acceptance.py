@@ -154,7 +154,7 @@ def test_criterion_06_entropy_weight_method():
 
     def frame(z):
         ids = [f"c{i}" for i in range(z.shape[1])]
-        return StandardizedFrame(z, ids, z.min(axis=0), z.max(axis=0))
+        return StandardizedFrame(z, ids)
 
     for _ in range(25):
         z = rng.random((int(rng.integers(3, 40)), int(rng.integers(1, 6))))
@@ -179,13 +179,13 @@ def test_criterion_06_entropy_weight_method():
 
 
 def test_criterion_07_cusum_behavior():
-    const = ewm.MomentumSeries("m", np.full(50, 0.4))
+    const = ewm.MomentumSeries(np.full(50, 0.4))
     _, cps = changepoint.cusum_detect(
         const, changepoint.CusumParams(d=0.0, h=0.5, mu=0.4))
     assert cps.n == 0
 
     # 10-point step: five points at 0.2, then five at 0.9, mu=0.5, d=0, h=1
-    step = ewm.MomentumSeries("m", np.array([0.2] * 5 + [0.9] * 5))
+    step = ewm.MomentumSeries(np.array([0.2] * 5 + [0.9] * 5))
     _, cps = changepoint.cusum_detect(
         step, changepoint.CusumParams(d=0.0, h=1.0, mu=0.5))
     assert cps.times == [4, 8]
@@ -193,7 +193,7 @@ def test_criterion_07_cusum_behavior():
 
     rng = np.random.default_rng(7)
     values = 0.5 + 0.2 * np.sin(np.arange(300) / 8) + 0.05 * rng.standard_normal(300)
-    m = ewm.MomentumSeries("m", values)
+    m = ewm.MomentumSeries(values)
     for target in (2, 5, 10, 20, 40):
         result = changepoint.tune_threshold(
             m, target, changepoint.default_params(values), h0=1.0, max_iter=200)

@@ -13,7 +13,7 @@ from matchpulse.ewm import MomentumSeries
 
 
 def series(values):
-    return MomentumSeries("m", np.asarray(values, dtype=float))
+    return MomentumSeries(np.asarray(values, dtype=float))
 
 
 @pytest.mark.parametrize("values", [[0.1, 0.5, 0.2, 0.9], [3e-7, 0.0, 3e-7],

@@ -239,6 +239,17 @@ def test_domain_error_exits_1(csv_path, tmp_path, capsys):
     assert "nope" in err
 
 
+def test_report_with_unknown_match_id_writes_nothing(csv_path, tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["report", "--input", csv_path, "--out", str(out),
+                 "--match-id", "nope"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.out, captured.err) == (
+        "", "error: match id not found: 'nope'\n")
+    assert not out.exists()
+
+
 def test_bad_input_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,point,file\n1,2,3,4\n")
@@ -266,6 +277,18 @@ def test_config_file_defaults_and_precedence(csv_path, tmp_path, capsys):
                                         "--cap", "6"])
         assert code == 0
         assert summary["df"] == 5, config
+
+
+def test_config_file_with_byte_order_mark(csv_path, tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfcap=5\n")
+    code, summary, err = run(capsys, ["--config", str(cfg), "test-momentum",
+                                      "--input", csv_path,
+                                      "--out", str(tmp_path / "c")])
+    assert (code, err) == (0, "")
+    assert summary == run(capsys, ["test-momentum", "--input", csv_path,
+                                   "--out", str(tmp_path / "f"),
+                                   "--cap", "5"])[1]
 
 
 def test_config_unknown_key_rejected(csv_path, tmp_path, capsys):

@@ -10,7 +10,7 @@ from matchpulse.ingest import StandardizedFrame
 def frame(z, ids=None):
     z = np.asarray(z, dtype=float)
     ids = ids or [f"c{i}" for i in range(z.shape[1])]
-    return StandardizedFrame(z, ids, z.min(axis=0), z.max(axis=0))
+    return StandardizedFrame(z, ids)
 
 
 def reference_weights(z, eps):

@@ -320,6 +320,61 @@ def test_negative_is_one_minus_positive():
         assert np.allclose(neg, 1 - pos)
 
 
+def reference_standardize(frame, columns):
+    """The per-column loop standardize once was, kept as an oracle, with
+    every zero of z made +0.0: the loop's zero took the sign of the zero
+    numpy's reduction returned as the column's bound."""
+    z = np.zeros((frame.T, len(columns)))
+    for j, c in enumerate(columns):
+        x = frame.column(c)
+        lo, hi = x.min(), x.max()
+        if hi > lo:
+            if c in ingest.NEGATIVE_FEATURES:
+                z[:, j] = (hi - x) / (hi - lo)
+            else:
+                z[:, j] = (x - lo) / (hi - lo)
+    return z + 0.0
+
+
+# finite cells whose span, at most 2e300, cannot overflow
+STANDARDIZE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1 / 3]),
+    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def standardize_inputs(draw):
+    """(frame, requested columns): varying and constant columns, negative
+    ones among them, with -0.0 cells, often at a column's bound."""
+    T = draw(st.integers(1, 40))
+    columns = draw(st.lists(st.sampled_from(ingest.FEATURE_IDS), min_size=1,
+                            unique=True))
+    X = np.zeros((T, 16))
+    for c in columns:
+        X[:, ingest.FEATURE_IDS.index(c)] = draw(st.one_of(
+            st.lists(STANDARDIZE_CELLS, min_size=T, max_size=T),
+            STANDARDIZE_CELLS.flatmap(lambda v: st.lists(
+                st.sampled_from([0.0, -0.0, v]), min_size=T, max_size=T)),
+            STANDARDIZE_CELLS.map(lambda v: [v] * T)))
+    return FeatureFrame("m", X, np.zeros(T, dtype=int)), columns
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(standardize_inputs())
+@example((_frame({"x1": [-0.0, 0.0, 1.0], "x9": [0.0, -0.0, -1.0]}),
+          ["x1", "x9"]))
+@example((_frame({"x8": [2.0, 2.0, 2.0], "x3": [-1e300, 1e300, 0.0]}),
+          ["x8", "x3"]))
+# numpy's 2-D and 1-D reductions pick zeros of different sign as this bound
+@example((_frame({"x1": [0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -0.0, 0.0, 0.0]}),
+          ["x1"]))
+def test_standardize_equals_per_column_reference(inputs):
+    frame, columns = inputs
+    z = standardize(frame, columns)
+    assert z.column_ids == columns
+    assert z.z.tobytes() == reference_standardize(frame, columns).tobytes()
+
+
 def reference_features(m):
     """The per-point loop derive_features once was, kept as an oracle:
     (features, outcome, imputed indices), or MissingRequired."""

@@ -1,0 +1,126 @@
+"""Byte-identity check of the CLI against a git revision.
+
+    python3 tools/identity.py --base REV [--expect CALL ...]
+
+Runs the calls below and every `--help`, as fresh processes with the same
+relative --out paths, in a detached git worktree of REV under .bench_work/
+and in this tree. The last line is a JSON verdict naming each call whose
+exit code, stdout, stderr or --out files differ, and what differs. A call
+named by --expect may differ; any other difference exits 1. It imports
+bench/corpus.py for the corpora and nothing from the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORK = os.path.join(ROOT, ".bench_work", "identity")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import corpus  # noqa: E402
+
+SEEDS = (1, 2)
+# matches per corpus (300 points each) -> (call name, CLI arguments), run
+# in order on seed s as call "s<s>/<name>"; shap reads the model train wrote
+CALLS = {
+    31: [("report", ["report"]), ("ingest", ["ingest"]),
+         ("test-momentum-exact", ["test-momentum", "--exact"]),
+         ("changepoints", ["changepoints"]), ("shift", ["shift"]),
+         ("changepoints-tuned-pooled", ["changepoints", "--target-changepoints",
+                                        "40", "--pooled-weights"]),
+         ("momentum-pooled-0007", ["momentum", "--pooled-weights",
+                                   "--match-id", "synthetic-0007"]),
+         ("select-features", ["select-features"]),
+         ("report-unknown-match", ["report", "--match-id", "nope"])],
+    1: [("train", ["train"]), ("evaluate", ["evaluate", "--eval-seeds", "5"]),
+        ("shap", ["shap", "--model", "{seed}/train/model.json"])],
+}
+
+
+def run_call(tree, run_dir, name, argv):
+    """Outcome of one fresh CLI process run from run_dir: part -> bytes."""
+    proc = subprocess.run([sys.executable, "-m", "matchpulse.cli", *argv],
+                          cwd=run_dir, capture_output=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src")))
+    parts = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout,
+             "stderr": proc.stderr}
+    out = os.path.join(run_dir, name)
+    for folder, _, files in os.walk(out):
+        for f in files:
+            with open(os.path.join(folder, f), "rb") as fh:
+                rel = os.path.relpath(os.path.join(folder, f), out)
+                parts["out/" + rel.replace(os.sep, "/")] = fh.read()
+    return parts
+
+
+def run_tree(tree, run_dir, corpora):
+    """Call name -> outcome, for every call run on the source in `tree`."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    os.makedirs(run_dir)
+    results = {"help": run_call(tree, run_dir, "help", ["--help"])}
+    listed = re.search(rb"\{([\w,-]+)\}", results["help"]["stdout"])
+    for command in listed.group(1).decode().split(",") if listed else []:
+        results[f"help/{command}"] = run_call(tree, run_dir, f"help/{command}",
+                                              [command, "--help"])
+    for seed in SEEDS:
+        for matches, calls in CALLS.items():
+            for slug, args in calls:
+                name = f"s{seed}/{slug}"
+                results[name] = run_call(tree, run_dir, name, [
+                    *(a.replace("{seed}", f"s{seed}") for a in args),
+                    "--input", corpora[seed, matches], "--out", name])
+    return results
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare with")
+    parser.add_argument("--expect", nargs="*", default=[], metavar="CALL",
+                        help="calls that may differ, e.g. s1/report-unknown-match")
+    args = parser.parse_args(argv)
+    commit = git("rev-parse", "--verify", args.base + "^{commit}").stdout.strip()
+    if not commit:
+        parser.error(f"not a revision: {args.base}")
+    os.makedirs(WORK, exist_ok=True)
+    corpora = {}
+    for seed in SEEDS:
+        for matches in CALLS:
+            path = corpora[seed, matches] = os.path.join(
+                WORK, f"corpus-{matches}x300-seed{seed}.csv")
+            corpus.write_corpus(path, matches, 300, 0.1, seed)
+    tree = os.path.join(WORK, "base-tree")
+    git("worktree", "remove", "--force", tree)      # left by an interrupted run
+    added = git("worktree", "add", "--detach", tree, commit)
+    if added.returncode:
+        sys.exit(f"git worktree add failed: {added.stderr.strip()}")
+    try:
+        old = run_tree(tree, os.path.join(WORK, "run-base"), corpora)
+    finally:
+        git("worktree", "remove", "--force", tree)
+    new = run_tree(ROOT, os.path.join(WORK, "run-change"), corpora)
+    differ = {}
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, {}), new.get(name, {})
+        if parts := sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p)):
+            differ[name] = parts
+    unexpected = sorted(set(differ) - set(args.expect))
+    print(json.dumps({"base": args.base, "commit": commit, "calls": len(new),
+                      "identical": not differ, "differ": differ,
+                      "expected": sorted(args.expect), "unexpected": unexpected},
+                     sort_keys=True))
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
