@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries, NoConvergence
-from .ewm import MomentumSeries
 
 DEFAULT_DRIFT_STD_FRACTION = 0.05
 TUNE_TOLERANCE = 0.01      # tune_threshold's relative count tolerance
@@ -25,9 +24,6 @@ class CusumParams:
     d: float                   # drift, same units as M
     h: float | None = None     # threshold; may be tuned
     mu: float | None = None    # None -> match mean of M_t
-
-    def resolve_mu(self, values):
-        return float(np.mean(values)) if self.mu is None else self.mu
 
 
 def default_params(values) -> CusumParams:
@@ -75,14 +71,14 @@ class ChangePointSet:
         }
 
 
-def cusum_detect(m: MomentumSeries, p: CusumParams):
-    """Run the two-sided CUSUM; returns (CusumTrace, ChangePointSet)."""
-    values = np.asarray(m.values, dtype=float)
+def cusum_detect(m, p: CusumParams):
+    """Run the two-sided CUSUM on M_t; returns (CusumTrace, ChangePointSet)."""
+    values = np.asarray(m, dtype=float)
     if len(values) < 2:
         raise EmptySeries("need at least 2 points")
     if p.h is None or p.h <= 0:
         raise ValueError("threshold h must be positive")
-    mu = p.resolve_mu(values)
+    mu = float(np.mean(values)) if p.mu is None else p.mu
     T = len(values)
     c_pos = np.zeros(T)
     c_neg = np.zeros(T)
@@ -115,7 +111,7 @@ class TunedResult:
     iterations: int
 
 
-def tune_threshold(m: MomentumSeries, target_n, p: CusumParams, h0,
+def tune_threshold(m, target_n, p: CusumParams, h0,
                    max_iter=200) -> TunedResult:
     """Adjust h by +-10% until the detected count is within tolerance.
 

@@ -268,9 +268,9 @@ def cmd_momentum(args, run):
     _write_json(args.out, "weights.json",
                 {"match_id": match.match_id, **analysis.weights.to_json()})
     _write_csv_rows(args.out, "momentum.csv", ["t", "M"],
-                    enumerate(analysis.momentum.values.tolist(), start=1))
+                    enumerate(analysis.momentum.tolist(), start=1))
     _summary(command="momentum", match_id=match.match_id,
-             points=analysis.momentum.T,
+             points=len(analysis.momentum),
              weights=dict(zip(analysis.weights.column_ids,
                               analysis.weights.weights.tolist())))
 
@@ -374,15 +374,15 @@ def cmd_shap(args, run):
                         replace=False)
     # the scaler works cell by cell, so the background and each instance
     # are scaled once instead of every stacked coalition row
-    cfg = explain.ShapConfig(net.scaler.transform(X[np.ix_(bg_idx, cols)]))
+    background = net.scaler.transform(X[np.ix_(bg_idx, cols)])
     sample = test_idx[:args.shap_points]
     reports = [
         explain.shapley_values(
             lambda rows: model.forward(net.config, net.params, rows),
-            net.scaler.transform(X[i, cols])[0], cfg, col_names)
+            net.scaler.transform(X[i, cols])[0], background)
         for i in sample
     ]
-    ranking = explain.mean_abs_shap(reports)
+    ranking = explain.mean_abs_shap(reports, col_names)
     _write_csv_rows(args.out, "shap.csv", ["feature", "mean_abs_phi", "rank"],
                     [(f, v, i + 1) for i, (f, v) in enumerate(ranking)])
     _write_csv_rows(
@@ -410,7 +410,8 @@ def cmd_synth(args, run):
 
 
 def cmd_report(args, run):
-    run.match               # a bad --match-id fails before any step writes
+    # fail before any step writes; frames first, so the match is derived once
+    run.match, run.frames, run.analysis
     args.model = os.path.join(args.out, "model.json")     # written by `train`
     for step in REPORT_STEPS:
         COMMANDS[step][0](args, run)
@@ -468,7 +469,8 @@ class _Command(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
+        if kwargs.get("action") != "help":      # argparse's own -h/--help
+            self.options[action.dest] = action
         return action
 
     def config_defaults(self, values):

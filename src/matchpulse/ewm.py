@@ -32,15 +32,6 @@ class WeightVector:
         }
 
 
-@dataclass
-class MomentumSeries:
-    values: np.ndarray
-
-    @property
-    def T(self):
-        return len(self.values)
-
-
 def entropy_weights(z: StandardizedFrame, epsilon=DEFAULT_EPSILON) -> WeightVector:
     """Entropy weights for the columns of a standardized frame.
 
@@ -66,14 +57,13 @@ def entropy_weights(z: StandardizedFrame, epsilon=DEFAULT_EPSILON) -> WeightVect
     return WeightVector(list(z.column_ids), w, e, epsilon)
 
 
-def momentum_series(z: StandardizedFrame, w: WeightVector) -> MomentumSeries:
+def momentum_series(z: StandardizedFrame, w: WeightVector) -> np.ndarray:
     """M_t = sum_i w_i z_it over the weight vector's columns."""
     missing = [c for c in w.column_ids if c not in z.column_ids]
     if missing:
         raise ColumnMismatch(f"weight columns absent from frame: {missing}")
     idx = [z.column_ids.index(c) for c in w.column_ids]
-    values = z.z[:, idx] @ w.weights
-    return MomentumSeries(values)
+    return z.z[:, idx] @ w.weights
 
 
 def pooled_entropy_weights(frames, epsilon=DEFAULT_EPSILON) -> WeightVector:

@@ -8,7 +8,7 @@ on S. All 2^|F| subsets are enumerated, so the feature count is capped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,21 +21,10 @@ BLOCK_ROWS = 2048       # stacked rows per `predict` call
 
 
 @dataclass
-class ShapConfig:
-    background: np.ndarray      # rows sampled from the training data
-
-    def __post_init__(self):
-        self.background = np.atleast_2d(np.asarray(self.background, dtype=float))
-        if self.background.shape[0] == 0:
-            raise EmptyBackground("background sample is empty")
-
-
-@dataclass
 class ShapReport:
     phi: np.ndarray             # per-feature Shapley values for one instance
     base_value: float
     prediction: float
-    feature_ids: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -75,14 +64,13 @@ def _plan(F) -> _Plan:
     return plan
 
 
-def _subset_values(predict, instance, cfg: ShapConfig, mask):
-    """Mean prediction for every subset (row of `mask`) of features held at
-    instance values.
+def _subset_values(predict, instance, bg, mask):
+    """Mean prediction over the background rows `bg` for every subset (row
+    of `mask`) of features held at instance values.
 
     Coalitions are scored in blocks of about BLOCK_ROWS stacked rows, one
     `predict` call per block.
     """
-    bg = cfg.background
     n_features = len(instance)
     per_block = max(1, BLOCK_ROWS // len(bg))
     values = np.empty(len(mask))
@@ -101,37 +89,39 @@ def _subset_values(predict, instance, cfg: ShapConfig, mask):
     return values
 
 
-def shapley_values(predict, instance, cfg: ShapConfig,
-                   feature_ids=None) -> ShapReport:
-    """Exact Shapley values of `predict` at `instance`.
+def shapley_values(predict, instance, background) -> ShapReport:
+    """Exact Shapley values of `predict` at `instance`, against the
+    `background` rows sampled from the training data.
 
     `predict` maps a 2-D array of rows to a vector of outputs. The
     combinatorial weight of subset S is |S|! (|F|-|S|-1)! / |F|!.
     """
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    if background.shape[0] == 0:
+        raise EmptyBackground("background sample is empty")
     instance = np.asarray(instance, dtype=float)
     F = len(instance)
     if F > MAX_FEATURES:
         raise TooManyFeatures(F, MAX_FEATURES)
-    if cfg.background.shape[1] != F:
+    if background.shape[1] != F:
         raise ValueError("background and instance disagree on feature count")
 
     plan = _plan(F)
-    values = _subset_values(predict, instance, cfg, plan.mask)
+    values = _subset_values(predict, instance, background, plan.mask)
     terms = plan.weights * (values[plan.with_rows] - values[plan.without_rows])
     # phi_i = 0.0 + term_1 + term_2 + ..., added left to right as a loop
     # would: cumsum accumulates in order, and the leading +0.0 makes an
     # all-zero sum +0.0
     phi = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1]
-    return ShapReport(phi, float(values[0]), float(values[-1]),
-                      list(feature_ids or []))
+    return ShapReport(phi, float(values[0]), float(values[-1]))
 
 
-def mean_abs_shap(reports):
-    """Features ranked by mean |phi| descending; ties by feature index."""
+def mean_abs_shap(reports, feature_ids=None):
+    """(feature id, mean |phi|) ranked descending; ties by feature index."""
     if not reports:
         raise ValueError("need at least one report")
     phis = np.vstack([r.phi for r in reports])
     mean_abs = np.abs(phis).mean(axis=0)
-    ids = reports[0].feature_ids or [str(i) for i in range(phis.shape[1])]
+    ids = feature_ids or [str(i) for i in range(phis.shape[1])]
     order = sorted(range(len(mean_abs)), key=lambda i: (-mean_abs[i], i))
     return [(ids[i], float(mean_abs[i])) for i in order]

@@ -19,7 +19,7 @@ from .errors import MatchPulseError
 class MatchAnalysis:
     frame: ingest.FeatureFrame
     weights: ewm.WeightVector
-    momentum: ewm.MomentumSeries
+    momentum: np.ndarray                # M_t
     params: changepoint.CusumParams | None = None
     trace: changepoint.CusumTrace | None = None
     change_points: changepoint.ChangePointSet | None = None
@@ -42,15 +42,14 @@ def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
                         target=None) -> MatchAnalysis:
     """Fill in CUSUM results: `changepoint.default_params` with the given
     drift and threshold, or h tuned toward a target from `threshold`."""
-    values = analysis.momentum.values
-    params = changepoint.default_params(values)
+    m = analysis.momentum
+    params = changepoint.default_params(m)
     if drift is not None:
         params.d = drift
     if target is not None:
         h0 = threshold if threshold is not None else max(
-            1e-6, float(np.std(values)))
-        tuned = analysis.tuned = changepoint.tune_threshold(
-            analysis.momentum, target, params, h0)
+            1e-6, float(np.std(m)))
+        tuned = analysis.tuned = changepoint.tune_threshold(m, target, params, h0)
         params.h = tuned.h
         analysis.trace = tuned.trace
         analysis.change_points = tuned.change_points
@@ -58,7 +57,7 @@ def detect_changepoints(analysis: MatchAnalysis, drift=None, threshold=None,
         if threshold is not None:
             params.h = threshold
         analysis.trace, analysis.change_points = changepoint.cusum_detect(
-            analysis.momentum, params)
+            m, params)
     analysis.params = params
     analysis.shift_series = shift.relative_distance(analysis.change_points)
     return analysis
@@ -72,7 +71,7 @@ def scenario_inputs(analysis: MatchAnalysis, base_features=None):
         raise MatchPulseError("run detect_changepoints first")
     cols = [analysis.frame.column(f) for f in base_features]
     names = list(base_features) + ["M", "CP", "V"]
-    cols.append(analysis.momentum.values)
+    cols.append(analysis.momentum)
     cols.append(analysis.change_points.labels().astype(float))
     cols.append(analysis.shift_series.values)
     return np.column_stack(cols), names, analysis.frame.outcome.copy()

@@ -22,7 +22,7 @@ from conftest import build_match
 from matchpulse import (
     changepoint, ewm, ingest, pipeline, shift, stats, streaks, synth)
 from matchpulse.cli import main as cli_main
-from matchpulse.explain import ShapConfig, shapley_values
+from matchpulse.explain import shapley_values
 from matchpulse.model import (
     BpConfig,
     NetConfig,
@@ -179,13 +179,13 @@ def test_criterion_06_entropy_weight_method():
 
 
 def test_criterion_07_cusum_behavior():
-    const = ewm.MomentumSeries(np.full(50, 0.4))
+    const = np.full(50, 0.4)
     _, cps = changepoint.cusum_detect(
         const, changepoint.CusumParams(d=0.0, h=0.5, mu=0.4))
     assert cps.n == 0
 
     # 10-point step: five points at 0.2, then five at 0.9, mu=0.5, d=0, h=1
-    step = ewm.MomentumSeries(np.array([0.2] * 5 + [0.9] * 5))
+    step = np.array([0.2] * 5 + [0.9] * 5)
     _, cps = changepoint.cusum_detect(
         step, changepoint.CusumParams(d=0.0, h=1.0, mu=0.5))
     assert cps.times == [4, 8]
@@ -193,10 +193,9 @@ def test_criterion_07_cusum_behavior():
 
     rng = np.random.default_rng(7)
     values = 0.5 + 0.2 * np.sin(np.arange(300) / 8) + 0.05 * rng.standard_normal(300)
-    m = ewm.MomentumSeries(values)
     for target in (2, 5, 10, 20, 40):
         result = changepoint.tune_threshold(
-            m, target, changepoint.default_params(values), h0=1.0, max_iter=200)
+            values, target, changepoint.default_params(values), h0=1.0, max_iter=200)
         assert result.converged
         assert result.iterations <= 200
         assert abs(result.change_points.n - target) <= max(1, 0.01 * target)
@@ -330,9 +329,9 @@ def test_criterion_13_shap_properties():
                        PsoConfig(swarm=10, iterations=20, seed=13),
                        BpConfig(epochs=50))
     train_idx, test_idx = stratified_split(y, 0.8, seed=13)
-    cfg = ShapConfig(X[train_idx[:30]])
+    bg = X[train_idx[:30]]
     for i in test_idx:
-        r = shapley_values(net.predict_proba, X[i], cfg)
+        r = shapley_values(net.predict_proba, X[i], bg)
         assert r.phi.sum() == pytest.approx(r.prediction - r.base_value,
                                             abs=1e-8)
 
@@ -340,7 +339,7 @@ def test_criterion_13_shap_properties():
     w = np.array([1.5, -2.0, 0.25])
     bg = rng.standard_normal((40, 3))
     x = rng.standard_normal(3)
-    r = shapley_values(lambda A: np.atleast_2d(A) @ w + 0.1, x, ShapConfig(bg))
+    r = shapley_values(lambda A: np.atleast_2d(A) @ w + 0.1, x, bg)
     assert np.allclose(r.phi, w * (x - bg.mean(axis=0)), atol=1e-10)
 
     # three-feature brute-force equivalence
@@ -365,7 +364,7 @@ def test_criterion_13_shap_properties():
             have.append(i)
             brute[i] += value(tuple(have)) - before
     brute /= 6
-    r = shapley_values(predict, x, ShapConfig(bg))
+    r = shapley_values(predict, x, bg)
     assert np.allclose(r.phi, brute, atol=1e-12)
 
 

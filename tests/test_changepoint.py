@@ -9,11 +9,10 @@ from matchpulse.changepoint import (
     tune_threshold,
 )
 from matchpulse.errors import EmptySeries, NoConvergence
-from matchpulse.ewm import MomentumSeries
 
 
 def series(values):
-    return MomentumSeries(np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 @pytest.mark.parametrize("values", [[0.1, 0.5, 0.2, 0.9], [3e-7, 0.0, 3e-7],

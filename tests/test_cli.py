@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from matchpulse import cli, ingest
 from matchpulse.cli import (COMMANDS, REPORT_STEPS, Run, _model_configs,
                             build_parser, main)
-from matchpulse.explain import ShapConfig, shapley_values
+from matchpulse.explain import shapley_values
 from matchpulse.model import PsoConfig, TrainedNet, _pso_start, stratified_split
 from matchpulse.stats import stepwise_select
 
@@ -165,12 +165,12 @@ def test_shap_equals_attribution_through_predict_proba(csv_path, tmp_path,
     z = ((X[test_idx[:3]][:, cols] - net.scaler.mins)[:, span > 0]
          / span[span > 0])
     assert ((z < -0.5) | (z > 1.5)).any()
-    cfg = ShapConfig(X[np.ix_(bg_idx, cols)])
+    bg = X[np.ix_(bg_idx, cols)]
     expected = ["instance,feature,feature_value,phi"] + [
         f"{i},{names[c]},{float(X[i, c])!r},{float(phi)!r}"
         for i in test_idx[:3]
         for c, phi in zip(cols, shapley_values(net.predict_proba, X[i, cols],
-                                               cfg).phi)]
+                                               bg).phi)]
     assert rows == expected
 
 
@@ -239,14 +239,28 @@ def test_domain_error_exits_1(csv_path, tmp_path, capsys):
     assert "nope" in err
 
 
-def test_report_with_unknown_match_id_writes_nothing(csv_path, tmp_path, capsys):
-    out = tmp_path / "r"
-    code = main(["report", "--input", csv_path, "--out", str(out),
-                 "--match-id", "nope"])
+def _first_match_cut_to_one_point():
+    lines = corpus.corpus_csv(2, 40, 0.1, 1).splitlines(keepends=True)
+    return "".join(lines[:2] + lines[41:])      # header, 1 + 40 points
+
+
+# each fails before report's first step writes
+@pytest.mark.parametrize("text, flags, error", [
+    (corpus.corpus_csv(3, 60, 0.1, 1), ["--match-id", "nope"],
+     "match id not found: 'nope'"),
+    (corpus.corpus_csv(3, 60, 0.1, 1), ["--target-changepoints", "1000"],
+     "threshold tuner did not converge in 200 iterations"),
+    (_first_match_cut_to_one_point(), [],
+     "need at least 2 points to compute entropy weights"),
+], ids=["unknown-match-id", "tuner-fails", "one-point-match"])
+def test_report_with_unknown_match_id_writes_nothing(text, flags, error,
+                                                     tmp_path, capsys):
+    path, out = tmp_path / "points.csv", tmp_path / "r"
+    path.write_text(text)
+    code = main(["report", "--input", str(path), "--out", str(out), *flags])
     captured = capsys.readouterr()
     assert code == 1
-    assert (captured.out, captured.err) == (
-        "", "error: match id not found: 'nope'\n")
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
     assert not out.exists()
 
 
@@ -292,13 +306,15 @@ def test_config_file_with_byte_order_mark(csv_path, tmp_path, capsys):
 
 
 def test_config_unknown_key_rejected(csv_path, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense_key=1\n")
-    code, _, err = run(capsys, ["--config", str(cfg), "momentum",
-                                "--input", csv_path,
-                                "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "nonsense_key" in err
+    # `help` too: argparse's own -h/--help is not an option a file can set
+    for key, value in [("nonsense_key", "1"), ("help", "yes")]:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, _, err = run(capsys, ["--config", str(cfg), "momentum",
+                                    "--input", csv_path,
+                                    "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert key in err
 
 
 def test_config_file_supplies_input(csv_path, tmp_path, capsys):
@@ -443,6 +459,17 @@ def test_each_call_runs_only_the_modules_it_uses(csv_path, tmp_path):
             text=True, check=True)
         ran = set(json.loads(proc.stdout.splitlines()[-1]))
         assert ran == EAGER | {f"matchpulse.{m}" for m in extra}, argv
+
+
+def test_changepoint_import_runs_only_errors():
+    # M_t reaches the CUSUM as a plain array, so nothing of ewm is needed
+    code = ("import json, sys, matchpulse.changepoint; print(json.dumps(sorted("
+            "n for n in sys.modules if n.split('.')[0] == 'matchpulse')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [
+        "matchpulse", "matchpulse.changepoint", "matchpulse.errors"]
 
 
 def test_cli_import_registers_every_package_module():

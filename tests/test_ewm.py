@@ -95,19 +95,19 @@ def test_momentum_all_ones():
     w = WeightVector(z.column_ids, np.array([0.2, 0.3, 0.5]),
                      np.zeros(3), 1e-12)
     m = momentum_series(z, w)
-    assert np.allclose(m.values, 1.0)
+    assert np.allclose(m, 1.0)
 
 
 def test_momentum_all_zeros():
     z = frame(np.zeros((4, 2)))
     w = WeightVector(z.column_ids, np.array([0.6, 0.4]), np.zeros(2), 1e-12)
-    assert np.allclose(momentum_series(z, w).values, 0.0)
+    assert np.allclose(momentum_series(z, w), 0.0)
 
 
 def test_momentum_inner_product():
     z = frame(np.array([[0.5, 1.0]]))
     w = WeightVector(z.column_ids, np.array([0.6, 0.4]), np.zeros(2), 1e-12)
-    assert momentum_series(z, w).values[0] == pytest.approx(0.7)
+    assert momentum_series(z, w)[0] == pytest.approx(0.7)
 
 
 def test_momentum_column_mismatch():
@@ -124,9 +124,9 @@ def test_momentum_linearity():
     w = WeightVector([f"c{i}" for i in range(3)],
                      np.array([0.2, 0.5, 0.3]), np.zeros(3), 1e-12)
     for alpha in (0.0, 0.3, 1.0):
-        mixed = momentum_series(frame(alpha * z1 + (1 - alpha) * z2), w).values
-        m1 = momentum_series(frame(z1), w).values
-        m2 = momentum_series(frame(z2), w).values
+        mixed = momentum_series(frame(alpha * z1 + (1 - alpha) * z2), w)
+        m1 = momentum_series(frame(z1), w)
+        m2 = momentum_series(frame(z2), w)
         assert np.allclose(mixed, alpha * m1 + (1 - alpha) * m2)
 
 
@@ -135,7 +135,7 @@ def test_momentum_in_unit_interval():
     z = rng.random((30, 4))
     w = entropy_weights(frame(z))
     m = momentum_series(frame(z), w)
-    assert np.all(m.values >= 0) and np.all(m.values <= 1)
+    assert np.all(m >= 0) and np.all(m <= 1)
 
 
 def test_pooled_weights_stack():

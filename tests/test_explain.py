@@ -7,7 +7,6 @@ import pytest
 from matchpulse import explain
 from matchpulse.errors import EmptyBackground, TooManyFeatures
 from matchpulse.explain import (
-    ShapConfig,
     mean_abs_shap,
     shapley_values,
 )
@@ -25,7 +24,7 @@ def test_linear_model_closed_form():
     w = np.array([2.0, -1.5, 0.5])
     bg = rng.standard_normal((50, 3))
     x = rng.standard_normal(3)
-    report = shapley_values(linear_predict(w, 0.7), x, ShapConfig(bg))
+    report = shapley_values(linear_predict(w, 0.7), x, bg)
     expected = w * (x - bg.mean(axis=0))
     assert np.allclose(report.phi, expected, atol=1e-10)
     assert report.base_value == pytest.approx(float(bg.mean(axis=0) @ w + 0.7))
@@ -61,7 +60,7 @@ def test_matches_permutation_oracle_nonlinear():
 
     for _ in range(5):
         x = rng.standard_normal(3)
-        report = shapley_values(predict, x, ShapConfig(bg))
+        report = shapley_values(predict, x, bg)
         assert np.allclose(report.phi, brute_force_shapley(predict, x, bg),
                            atol=1e-12)
 
@@ -76,7 +75,7 @@ def test_efficiency_property():
 
     for _ in range(10):
         x = rng.standard_normal(4)
-        report = shapley_values(predict, x, ShapConfig(bg))
+        report = shapley_values(predict, x, bg)
         assert report.phi.sum() == pytest.approx(
             report.prediction - report.base_value, abs=1e-8)
 
@@ -85,7 +84,7 @@ def test_irrelevant_feature_gets_zero():
     rng = np.random.default_rng(3)
     bg = rng.standard_normal((15, 3))
     predict = lambda X: np.atleast_2d(X)[:, 0] * 3.0
-    report = shapley_values(predict, np.array([1.0, 5.0, -2.0]), ShapConfig(bg))
+    report = shapley_values(predict, np.array([1.0, 5.0, -2.0]), bg)
     assert report.phi[1] == pytest.approx(0.0, abs=1e-12)
     assert report.phi[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -94,14 +93,13 @@ def test_symmetry_property():
     # two features entering identically share credit equally
     bg = np.zeros((10, 2))
     predict = lambda X: np.atleast_2d(X)[:, 0] + np.atleast_2d(X)[:, 1]
-    report = shapley_values(predict, np.array([3.0, 3.0]), ShapConfig(bg))
+    report = shapley_values(predict, np.array([3.0, 3.0]), bg)
     assert report.phi[0] == pytest.approx(report.phi[1], abs=1e-12)
 
 
 def test_single_background_row():
     predict = lambda X: np.atleast_2d(X)[:, 0] ** 2
-    report = shapley_values(predict, np.array([2.0]),
-                            ShapConfig(np.array([[0.0]])))
+    report = shapley_values(predict, np.array([2.0]), np.array([[0.0]]))
     assert report.phi[0] == pytest.approx(4.0)
     assert report.base_value == 0.0
 
@@ -109,19 +107,19 @@ def test_single_background_row():
 def test_too_many_features_raises():
     bg = np.zeros((2, 16))
     with pytest.raises(TooManyFeatures):
-        shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(16),
-                       ShapConfig(bg))
+        shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(16), bg)
 
 
 def test_empty_background_raises():
     with pytest.raises(EmptyBackground):
-        ShapConfig(np.empty((0, 3)))
+        shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(3),
+                       np.empty((0, 3)))
 
 
 def test_background_instance_mismatch():
     with pytest.raises(ValueError):
         shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(2),
-                       ShapConfig(np.zeros((4, 3))))
+                       np.zeros((4, 3)))
 
 
 def test_mean_abs_ranking_and_ties():
@@ -130,9 +128,8 @@ def test_mean_abs_ranking_and_ties():
         reports.append(
             shapley_values(  # build real reports via a linear stand-in
                 linear_predict(np.array(phi), 0.0),
-                np.ones(3), ShapConfig(np.zeros((5, 3))),
-                feature_ids=["a", "b", "c"]))
-    ranking = mean_abs_shap(reports)
+                np.ones(3), np.zeros((5, 3))))
+    ranking = mean_abs_shap(reports, ["a", "b", "c"])
     assert ranking[0][0] == "b"
     assert ranking[0][1] == pytest.approx(3.0)
     # |phi| ties between a and c break toward the lower index
@@ -192,7 +189,7 @@ def test_blocked_scoring_equals_per_coalition_loop(F, B):
 
     for x in X[B:B + 2]:
         calls.clear()
-        report = shapley_values(predict, x, ShapConfig(X[:B]))
+        report = shapley_values(predict, x, X[:B])
         phi, base, prediction = reference_shapley(net.predict_proba, x, X[:B])
         if exact:
             assert np.array_equal(report.phi, phi)
@@ -224,7 +221,7 @@ def test_coalition_plan_equals_per_subset_phi_loop(F, B):
 
     X = rng.standard_normal((B + 3, F)) * 2.0
     for x in X[B:]:
-        report = shapley_values(predict, x, ShapConfig(X[:B]))
+        report = shapley_values(predict, x, X[:B])
         phi, base, prediction = reference_shapley(predict, x, X[:B])
         assert np.array_equal(report.phi, phi)
         assert report.base_value == base and report.prediction == prediction
@@ -254,10 +251,10 @@ def test_prescaled_attribution_equals_rescaled():
     z = (bg - net.scaler.mins)[:, span > 0] / span[span > 0]
     assert ((z < -0.5) | (z > 1.5)).any()
 
-    rescaled = shapley_values(net.predict_proba, instance, ShapConfig(bg))
+    rescaled = shapley_values(net.predict_proba, instance, bg)
     prescaled = shapley_values(lambda rows: forward(cfg, net.params, rows),
                                scaled_instance,
-                               ShapConfig(net.scaler.transform(bg)))
+                               net.scaler.transform(bg))
     assert np.array_equal(prescaled.phi, rescaled.phi)
     assert prescaled.base_value == rescaled.base_value
     assert prescaled.prediction == rescaled.prediction

@@ -2,17 +2,22 @@
 
     python3 tools/identity.py --base REV [--expect CALL ...]
 
-Runs the calls below and every `--help`, as fresh processes with the same
-relative --out paths, in a detached git worktree of REV under .bench_work/
-and in this tree. The last line is a JSON verdict naming each call whose
-exit code, stdout, stderr or --out files differ, and what differs. A call
-named by --expect may differ; any other difference exits 1. It imports
+Runs the calls below, on the bench corpora and on a small edge corpus, and
+every `--help`, as fresh processes with the same relative --out paths, in a
+detached git worktree of REV under .bench_work/ and in this tree. The last
+line is a JSON verdict naming each call whose exit code, stdout, stderr or
+--out files differ, and what differs. A call named by --expect may differ;
+any other difference exits 1. Each expected call is run a second time in
+this tree, and one whose two runs differ is named as unstable and exits 1
+too: a changed output must still be the same on every run. It imports
 bench/corpus.py for the corpora and nothing from the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -42,6 +47,28 @@ CALLS = {
     1: [("train", ["train"]), ("evaluate", ["evaluate", "--eval-seeds", "5"]),
         ("shap", ["shap", "--model", "{seed}/train/model.json"])],
 }
+# run once on the edge corpus, as call "edge/<name>"
+EDGE_CALLS = [("ingest", ["ingest"]), ("report", ["report"]),
+              ("momentum-pooled", ["momentum", "--pooled-weights"]),
+              ("shift", ["shift"])]
+
+
+def edge_csv():
+    """3x40 corpus whose match ids need CSV quoting (`,` `"` `\\n` `\\r\\n`)
+    and hold a non-ASCII letter, with `-0` in an integer column and `-0.0`,
+    `5e-324` and `1e16` in real columns of its first match."""
+    rows = []
+    ids = ['edge, "one"', "edge\ntwo", "\u00e9dge\r\nthree"]
+    for i, (seq, match_id) in enumerate(
+            zip(corpus.outcome_sequences(3, 40, 0.1, 1), ids)):
+        rows += corpus.match_rows(seq, match_id, 1000 + i)
+    for point, column, cell in [(1, "p1_games", "-0"), (2, "ball_speed", "-0.0"),
+                                (3, "p1_distance_run", "5e-324"),
+                                (4, "ball_speed", "1e16")]:
+        rows[point - 1][corpus.HEADER.index(column)] = cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([corpus.HEADER, *rows])
+    return buf.getvalue()
 
 
 def run_call(tree, run_dir, name, argv):
@@ -60,23 +87,20 @@ def run_call(tree, run_dir, name, argv):
     return parts
 
 
-def run_tree(tree, run_dir, corpora):
-    """Call name -> outcome, for every call run on the source in `tree`."""
+def run_tree(tree, run_dir, calls):
+    """(call name -> outcome, call name -> argv), for every `--help` and then
+    `calls` (name -> argv), run in order on the source in `tree`."""
     shutil.rmtree(run_dir, ignore_errors=True)
     os.makedirs(run_dir)
     results = {"help": run_call(tree, run_dir, "help", ["--help"])}
     listed = re.search(rb"\{([\w,-]+)\}", results["help"]["stdout"])
-    for command in listed.group(1).decode().split(",") if listed else []:
-        results[f"help/{command}"] = run_call(tree, run_dir, f"help/{command}",
-                                              [command, "--help"])
-    for seed in SEEDS:
-        for matches, calls in CALLS.items():
-            for slug, args in calls:
-                name = f"s{seed}/{slug}"
-                results[name] = run_call(tree, run_dir, name, [
-                    *(a.replace("{seed}", f"s{seed}") for a in args),
-                    "--input", corpora[seed, matches], "--out", name])
-    return results
+    commands = listed.group(1).decode().split(",") if listed else []
+    calls = {"help": ["--help"],
+             **{f"help/{c}": [c, "--help"] for c in commands}, **calls}
+    for name, argv in calls.items():
+        if name not in results:
+            results[name] = run_call(tree, run_dir, name, argv)
+    return results, calls
 
 
 def git(*args):
@@ -93,22 +117,36 @@ def main(argv=None):
     if not commit:
         parser.error(f"not a revision: {args.base}")
     os.makedirs(WORK, exist_ok=True)
-    corpora = {}
+    calls = {}
     for seed in SEEDS:
-        for matches in CALLS:
-            path = corpora[seed, matches] = os.path.join(
-                WORK, f"corpus-{matches}x300-seed{seed}.csv")
+        for matches, group in CALLS.items():
+            path = os.path.join(WORK, f"corpus-{matches}x300-seed{seed}.csv")
             corpus.write_corpus(path, matches, 300, 0.1, seed)
+            for slug, argv in group:
+                name = f"s{seed}/{slug}"
+                calls[name] = [*(a.replace("{seed}", f"s{seed}") for a in argv),
+                               "--input", path, "--out", name]
+    edge = os.path.join(WORK, "corpus-edge-3x40.csv")
+    with open(edge, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edge_csv())
+    for slug, argv in EDGE_CALLS:
+        calls[f"edge/{slug}"] = [*argv, "--input", edge, "--out", f"edge/{slug}"]
     tree = os.path.join(WORK, "base-tree")
     git("worktree", "remove", "--force", tree)      # left by an interrupted run
     added = git("worktree", "add", "--detach", tree, commit)
     if added.returncode:
         sys.exit(f"git worktree add failed: {added.stderr.strip()}")
     try:
-        old = run_tree(tree, os.path.join(WORK, "run-base"), corpora)
+        old, _ = run_tree(tree, os.path.join(WORK, "run-base"), calls)
     finally:
         git("worktree", "remove", "--force", tree)
-    new = run_tree(ROOT, os.path.join(WORK, "run-change"), corpora)
+    run_dir = os.path.join(WORK, "run-change")
+    new, new_calls = run_tree(ROOT, run_dir, calls)
+    unstable = []
+    for name in sorted(set(args.expect) & set(new_calls)):
+        shutil.rmtree(os.path.join(run_dir, name), ignore_errors=True)
+        if run_call(ROOT, run_dir, name, new_calls[name]) != new[name]:
+            unstable.append(name)
     differ = {}
     for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name, {}), new.get(name, {})
@@ -117,9 +155,9 @@ def main(argv=None):
     unexpected = sorted(set(differ) - set(args.expect))
     print(json.dumps({"base": args.base, "commit": commit, "calls": len(new),
                       "identical": not differ, "differ": differ,
-                      "expected": sorted(args.expect), "unexpected": unexpected},
-                     sort_keys=True))
-    return 1 if unexpected else 0
+                      "expected": sorted(args.expect), "unexpected": unexpected,
+                      "unstable": unstable}, sort_keys=True))
+    return 1 if unexpected or unstable else 0
 
 
 if __name__ == "__main__":
