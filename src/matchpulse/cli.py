@@ -23,7 +23,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import DEFAULT_BASE_FEATURES, DEFAULT_CAP, DEFAULT_EPSILON, SCENARIOS
-from .errors import BadModel, DimMismatch, EmptyInput, MatchPulseError, SingleClass
+from .errors import (BadModel, DimMismatch, EmptyInput, MatchPulseError,
+                     SingleClass, TooManyFeatures)
 
 
 def _register_lazily(*names):
@@ -412,6 +413,8 @@ def cmd_synth(args, run):
 def cmd_report(args, run):
     # fail before any step writes; frames first, so the match is derived once
     run.match, run.frames, run.analysis
+    if (width := len(run.scenario[3][args.scenario])) > explain.MAX_FEATURES:
+        raise TooManyFeatures(width, explain.MAX_FEATURES)     # as `shap` would
     args.model = os.path.join(args.out, "model.json")     # written by `train`
     for step in REPORT_STEPS:
         COMMANDS[step][0](args, run)

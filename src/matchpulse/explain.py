@@ -2,15 +2,14 @@
 
 The value function is the marginal expectation: f(S) is the mean
 prediction over background rows with the instance's values substituted
-on S. All 2^|F| subsets are enumerated, so the feature count is capped.
+on S. All 2^|F| subsets are enumerated, in a plan built once per feature
+count from their feature bitmasks, so the count is capped and at least 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -27,39 +26,28 @@ class ShapReport:
     prediction: float
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Coalitions of F features, and the terms of every phi in sum order."""
-    mask: np.ndarray            # (2^F, F): row r holds subset r's features
-    with_rows: np.ndarray       # (F, 2^(F-1)): rows of S ∪ {i}, per feature i
-    without_rows: np.ndarray    # (F, 2^(F-1)): rows of S
-    weights: np.ndarray         # (F, 2^(F-1)): |S|! (F-|S|-1)! / F!
-
-
 @lru_cache(maxsize=None)
-def _plan(F) -> _Plan:
-    subsets = [subset for size in range(F + 1)
-               for subset in combinations(range(F), size)]
-    row = {subset: r for r, subset in enumerate(subsets)}
-    mask = np.zeros((len(subsets), F), dtype=bool)
-    for r, subset in enumerate(subsets):
-        mask[r, list(subset)] = True
-    fact = [math.factorial(k) for k in range(F + 1)]
-    with_rows, without_rows, weights = [], [], []
-    for i in range(F):
-        rest = [j for j in range(F) if j != i]
-        terms = [(row[tuple(sorted(subset + (i,)))], row[subset],
-                  fact[size] * fact[F - size - 1] / fact[F])
-                 for size in range(F) for subset in combinations(rest, size)]
-        w_row, wo_row, weight = zip(*terms)
-        with_rows.append(w_row)
-        without_rows.append(wo_row)
-        weights.append(weight)
-    shape = (F, len(subsets) // 2)
-    plan = _Plan(mask, np.array(with_rows, dtype=np.intp).reshape(shape),
-                 np.array(without_rows, dtype=np.intp).reshape(shape),
-                 np.array(weights, dtype=float).reshape(shape))
-    for array in vars(plan).values():   # shared by every later call
+def _plan(F):
+    """(mask, with_rows, without_rows, weights) of F >= 1 features, read-only
+    and shared by every later call. Row r of the (2^F, F) `mask` holds
+    coalition r's features, in `combinations` order; row i of the three
+    (F, 2^(F-1)) arrays holds, in row order, the rows S that lack feature i,
+    the rows of S + {i}, and the weights |S|! (F-|S|-1)! / F!."""
+    # row c holds the bits of coalition code c: bit j stands for feature j
+    bits = np.arange(1 << F)[:, None] >> np.arange(F) & 1
+    # rows by size, then by descending code read with feature 0 as the highest bit
+    order = np.lexsort((-bits @ (1 << np.arange(F)[::-1]), bits.sum(axis=1)))
+    row = np.argsort(order)                 # code -> row, as order is row -> code
+    mask = bits[order] == 1
+    # flat index i * 2^F + r of each row r that lacks feature i
+    without_rows = np.flatnonzero(~mask.T).reshape(F, -1) % len(row)
+    with_rows = row[order[without_rows] | 1 << np.arange(F)[:, None]]
+    # float64 factorials are exact, and for F <= 15 so is each product
+    # k! (F-1-k)! <= 14! < 2^53: each weight rounds once, as int / int does
+    fact = np.cumprod(np.arange(F + 1.0).clip(1))
+    size = mask.sum(axis=1)[without_rows]
+    plan = mask, with_rows, without_rows, fact[size] * fact[F - 1 - size] / fact[F]
+    for array in plan:
         array.flags.writeable = False
     return plan
 
@@ -101,14 +89,16 @@ def shapley_values(predict, instance, background) -> ShapReport:
         raise EmptyBackground("background sample is empty")
     instance = np.asarray(instance, dtype=float)
     F = len(instance)
+    if not F:
+        raise ValueError("instance has no features to attribute")
     if F > MAX_FEATURES:
         raise TooManyFeatures(F, MAX_FEATURES)
     if background.shape[1] != F:
         raise ValueError("background and instance disagree on feature count")
 
-    plan = _plan(F)
-    values = _subset_values(predict, instance, background, plan.mask)
-    terms = plan.weights * (values[plan.with_rows] - values[plan.without_rows])
+    mask, with_rows, without_rows, weights = _plan(F)
+    values = _subset_values(predict, instance, background, mask)
+    terms = weights * (values[with_rows] - values[without_rows])
     # phi_i = 0.0 + term_1 + term_2 + ..., added left to right as a loop
     # would: cumsum accumulates in order, and the leading +0.0 makes an
     # all-zero sum +0.0

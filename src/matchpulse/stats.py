@@ -77,7 +77,8 @@ class SelectionTrace:
 def single_class(y):
     """True when the array y holds fewer than two distinct labels.
 
-    min/max instead of np.unique, whose first call imports numpy.ma.
+    min/max instead of plain np.unique (no return_inverse or axis), whose
+    first call imports numpy.ma.
     """
     return not len(y) or y.min() == y.max()
 

@@ -252,7 +252,12 @@ def _first_match_cut_to_one_point():
      "threshold tuner did not converge in 200 iterations"),
     (_first_match_cut_to_one_point(), [],
      "need at least 2 points to compute entropy weights"),
-], ids=["unknown-match-id", "tuner-fails", "one-point-match"])
+    # 13 base features + M, CP, V: one more than `shap` can attribute
+    (corpus.corpus_csv(3, 60, 0.1, 1),
+     ["--features", ",".join(f"x{i}" for i in range(1, 14))],
+     "exact Shapley enumeration limited to 15 features, got 16"),
+], ids=["unknown-match-id", "tuner-fails", "one-point-match",
+        "too-many-features"])
 def test_report_with_unknown_match_id_writes_nothing(text, flags, error,
                                                      tmp_path, capsys):
     path, out = tmp_path / "points.csv", tmp_path / "r"

@@ -116,6 +116,12 @@ def test_empty_background_raises():
                        np.empty((0, 3)))
 
 
+def test_no_features_raises():
+    with pytest.raises(ValueError, match="no features"):
+        shapley_values(lambda rows: np.full(len(rows), 0.3), np.zeros(0),
+                       np.zeros((5, 0)))
+
+
 def test_background_instance_mismatch():
     with pytest.raises(ValueError):
         shapley_values(lambda X: np.atleast_2d(X)[:, 0], np.zeros(2),
@@ -162,6 +168,41 @@ def reference_shapley(predict, x, bg):
                 with_i = tuple(sorted(subset + (i,)))
                 phi[i] += weight * (values[with_i] - values[subset])
     return phi, values[()], values[tuple(range(F))]
+
+
+def reference_plan(F):
+    """The coalition plan built subset by subset, as `reference_shapley`
+    walks it: (mask, with_rows, without_rows, weights)."""
+    subsets = [subset for size in range(F + 1)
+               for subset in itertools.combinations(range(F), size)]
+    row = {subset: r for r, subset in enumerate(subsets)}
+    mask = np.zeros((len(subsets), F), dtype=bool)
+    for r, subset in enumerate(subsets):
+        mask[r, list(subset)] = True
+    fact = [math.factorial(k) for k in range(F + 1)]
+    with_rows, without_rows, weights = [], [], []
+    for i in range(F):
+        rest = [j for j in range(F) if j != i]
+        for size in range(F):
+            for subset in itertools.combinations(rest, size):
+                with_rows.append(row[tuple(sorted(subset + (i,)))])
+                without_rows.append(row[subset])
+                weights.append(fact[size] * fact[F - size - 1] / fact[F])
+    shape = (F, len(subsets) // 2)
+    return (mask, np.array(with_rows, dtype=np.intp).reshape(shape),
+            np.array(without_rows, dtype=np.intp).reshape(shape),
+            np.array(weights, dtype=float).reshape(shape))
+
+
+@pytest.mark.parametrize("F", [*range(1, 13), explain.MAX_FEATURES])
+def test_coalition_plan_equals_subset_loop(F):
+    # same values, dtypes and order; read-only, since every call shares it
+    for array, expected in zip(explain._plan(F), reference_plan(F),
+                               strict=True):
+        assert array.dtype == expected.dtype
+        assert array.shape == expected.shape
+        assert np.array_equal(array, expected)
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("F, B", [(9, 100), (4, 12), (4, 7),

@@ -45,7 +45,12 @@ CALLS = {
          ("select-features", ["select-features"]),
          ("report-unknown-match", ["report", "--match-id", "nope"])],
     1: [("train", ["train"]), ("evaluate", ["evaluate", "--eval-seeds", "5"]),
-        ("shap", ["shap", "--model", "{seed}/train/model.json"])],
+        ("shap", ["shap", "--model", "{seed}/train/model.json"]),
+        # 37-row background: each 2,035-row `predict` block ends in 3 rows
+        # and the last in 1, which BLAS scores through its tail kernel, so a
+        # coalition that moves within the blocks moves last bits
+        ("shap-b37", ["shap", "--model", "{seed}/train/model.json",
+                      "--background", "37", "--shap-points", "60"])],
 }
 # run once on the edge corpus, as call "edge/<name>"
 EDGE_CALLS = [("ingest", ["ingest"]), ("report", ["report"]),
