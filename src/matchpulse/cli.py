@@ -1,9 +1,11 @@
 """Command-line front end for the momentum-analysis pipeline.
 
-Every subcommand writes its artifacts atomically into --out and prints a
-one-line JSON summary to stdout. Exit codes: 0 success, 1 domain error,
-2 usage error. A flat key=value config file may supply defaults;
-command-line flags take precedence.
+A call writes its artifacts into --out and prints its one-line JSON
+summaries to stdout only after the whole command has succeeded. A failed
+call prints its `error:` line and creates or changes nothing in --out;
+only a rename that fails partway through can leave a subset of the files.
+Exit codes: 0 success, 1 domain error, 2 usage error. A flat key=value
+config file may supply defaults; command-line flags take precedence.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import DEFAULT_BASE_FEATURES, DEFAULT_CAP, DEFAULT_EPSILON, SCENARIOS
-from .errors import (BadModel, DimMismatch, EmptyInput, MatchPulseError,
-                     SingleClass, TooManyFeatures)
+from .errors import BadModel, DimMismatch, EmptyInput, MatchPulseError, SingleClass
 
 
 def _register_lazily(*names):
@@ -79,7 +80,7 @@ plt.xlabel(header[0]); plt.legend(); plt.show()
 
 def _atomic_write(out_dir, name, write):
     """Create out_dir/name through a temporary file, which write(fh) fills
-    as an open text file, and a rename; its path.
+    as an open text file, and a rename.
 
     MatchPulseError naming the path if it cannot be written, e.g. when
     out_dir is a file or lies under one.
@@ -102,26 +103,6 @@ def _atomic_write(out_dir, name, write):
             raise
     except OSError as exc:
         raise MatchPulseError(f"cannot write {path!r}: {exc}") from None
-    return path
-
-
-def _write_text(out_dir, name, text):
-    return _atomic_write(out_dir, name, lambda fh: fh.write(text))
-
-
-def _write_json(out_dir, name, obj):
-    """Write obj as indented JSON, with "schema_version": 1 as its first key."""
-    return _write_text(out_dir, name,
-                       json.dumps({"schema_version": 1, **obj}, indent=1) + "\n")
-
-
-def _write_csv_rows(out_dir, name, header, rows):
-    return _atomic_write(out_dir, name,
-                         lambda fh: ingest.write_csv_rows(fh, [header, *rows]))
-
-
-def _summary(**kwargs):
-    print(json.dumps(kwargs, sort_keys=True))
 
 
 def _load_config_file(path):
@@ -158,7 +139,9 @@ def _derive(match):
 # ---------------------------------------------------------------- commands
 
 class Run:
-    """Inputs of one CLI call, each built on first use and then shared.
+    """Inputs of one CLI call, each built on first use and then shared, and
+    its output, `files` (name -> write(fh), in write order) and summary
+    `lines`, which `main` writes and prints only if the command succeeds.
 
     `report` hands one Run to every step, so it parses and analyzes once;
     a step still fails where it first needs an input that cannot be built.
@@ -166,6 +149,19 @@ class Run:
 
     def __init__(self, args):
         self.args = args
+        self.files = {}
+        self.lines = []
+
+    def write_json(self, name, obj):
+        """obj as indented JSON, with "schema_version": 1 as its first key."""
+        self.files[name] = lambda fh: fh.write(
+            json.dumps({"schema_version": 1, **obj}, indent=1) + "\n")
+
+    def write_csv_rows(self, name, header, rows):
+        self.files[name] = lambda fh: ingest.write_csv_rows(fh, [header, *rows])
+
+    def summary(self, **kwargs):
+        self.lines.append(json.dumps(kwargs, sort_keys=True))
 
     @cached_property
     def matches(self):
@@ -220,6 +216,15 @@ class Run:
         X, names, y = pipeline.scenario_inputs(self.analysis, self.args.features)
         return X, names, y, pipeline.scenario_column_map(names, self.args.features)
 
+    @cached_property
+    def net(self):
+        """The --model net, unless `train` has set the one it trained."""
+        try:
+            with open(self.args.model, encoding="utf-8") as fh:
+                return model.TrainedNet.from_json(json.load(fh))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise BadModel(f"cannot read model {self.args.model!r}: {exc}") from None
+
 
 def cmd_ingest(args, run):
     frames = run.frames
@@ -230,11 +235,10 @@ def cmd_ingest(args, run):
         for f in frames:
             f.to_csv(fh)
 
-    _atomic_write(args.out, "features.csv", write_features)
-    _write_json(args.out, "features.json",
-                {"matches": [f.to_json() for f in frames]})
-    _summary(command="ingest", matches=len(run.matches),
-             points=sum(f.T for f in frames), out=args.out)
+    run.files["features.csv"] = write_features
+    run.write_json("features.json", {"matches": [f.to_json() for f in frames]})
+    run.summary(command="ingest", matches=len(run.matches),
+                points=sum(f.T for f in frames), out=args.out)
 
 
 def cmd_test_momentum(args, run):
@@ -248,10 +252,10 @@ def cmd_test_momentum(args, run):
         result["exact"] = exact.to_json()
     cond = streaks.conditional_win_probs(sequences, cap=args.cap)
     result["conditional_probabilities"] = cond.to_json()
-    _write_json(args.out, "momentum_test.json", result)
-    _write_text(args.out, "contingency.txt", table.format() + "\n")
-    _summary(command="test-momentum", chi2=chi.statistic, df=chi.df,
-             p_value=chi.p_value, validity=chi.validity, n=table.n)
+    run.write_json("momentum_test.json", result)
+    run.files["contingency.txt"] = lambda fh: fh.write(table.format() + "\n")
+    run.summary(command="test-momentum", chi2=chi.statistic, df=chi.df,
+                p_value=chi.p_value, validity=chi.validity, n=table.n)
 
 
 def cmd_select_features(args, run):
@@ -259,50 +263,49 @@ def cmd_select_features(args, run):
     X = np.vstack([f.features for f in frames])
     y = np.concatenate([f.outcome for f in frames])
     trace = stats.stepwise_select(X, y, feature_ids=list(ingest.FEATURE_IDS))
-    _write_json(args.out, "selection.json", trace.to_json())
-    _summary(command="select-features", selected=trace.final_features,
-             auc=trace.final_auc)
+    run.write_json("selection.json", trace.to_json())
+    run.summary(command="select-features", selected=trace.final_features,
+                auc=trace.final_auc)
 
 
 def cmd_momentum(args, run):
     match, analysis = run.match, run.momentum
-    _write_json(args.out, "weights.json",
-                {"match_id": match.match_id, **analysis.weights.to_json()})
-    _write_csv_rows(args.out, "momentum.csv", ["t", "M"],
-                    enumerate(analysis.momentum.tolist(), start=1))
-    _summary(command="momentum", match_id=match.match_id,
-             points=len(analysis.momentum),
-             weights=dict(zip(analysis.weights.column_ids,
-                              analysis.weights.weights.tolist())))
+    run.write_json("weights.json",
+                   {"match_id": match.match_id, **analysis.weights.to_json()})
+    run.write_csv_rows("momentum.csv", ["t", "M"],
+                       enumerate(analysis.momentum.tolist(), start=1))
+    run.summary(command="momentum", match_id=match.match_id,
+                points=len(analysis.momentum),
+                weights=dict(zip(analysis.weights.column_ids,
+                                 analysis.weights.weights.tolist())))
 
 
 def cmd_changepoints(args, run):
     match, analysis = run.match, run.analysis
     cps, tuned = analysis.change_points, analysis.tuned
-    _write_json(args.out, "changepoints.json", {
+    run.write_json("changepoints.json", {
         "match_id": match.match_id,
         "drift": analysis.params.d, "threshold": analysis.params.h,
         "tuned": tuned is not None,
         "converged": tuned.converged if tuned else None,
         **cps.to_json(),
     })
-    _write_csv_rows(args.out, "cusum.csv", ["t", "c_pos", "c_neg", "CP"],
-                    zip(range(1, cps.T + 1), analysis.trace.c_pos.tolist(),
-                        analysis.trace.c_neg.tolist(), cps.labels().tolist()))
-    _summary(command="changepoints", match_id=match.match_id, n=cps.n,
-             positive=sum(1 for s in cps.signs if s > 0),
-             negative=sum(1 for s in cps.signs if s < 0),
-             threshold=analysis.params.h)
+    run.write_csv_rows("cusum.csv", ["t", "c_pos", "c_neg", "CP"],
+                       zip(range(1, cps.T + 1), analysis.trace.c_pos.tolist(),
+                           analysis.trace.c_neg.tolist(), cps.labels().tolist()))
+    run.summary(command="changepoints", match_id=match.match_id, n=cps.n,
+                positive=sum(1 for s in cps.signs if s > 0),
+                negative=sum(1 for s in cps.signs if s < 0),
+                threshold=analysis.params.h)
 
 
 def cmd_shift(args, run):
     match, ss = run.match, run.analysis.shift_series
-    _write_json(args.out, "shift.json",
-                {"match_id": match.match_id, **ss.to_json()})
-    _write_csv_rows(args.out, "shift.csv", ["t", "V"],
-                    enumerate(ss.values.tolist(), start=1))
-    _summary(command="shift", match_id=match.match_id, d_max=ss.d_max,
-             anchors=len(ss.anchors))
+    run.write_json("shift.json", {"match_id": match.match_id, **ss.to_json()})
+    run.write_csv_rows("shift.csv", ["t", "V"],
+                       enumerate(ss.values.tolist(), start=1))
+    run.summary(command="shift", match_id=match.match_id, d_max=ss.d_max,
+                anchors=len(ss.anchors))
 
 
 def _model_configs(args):
@@ -322,16 +325,18 @@ def cmd_train(args, run):
     net_builder, pso_cfg, bp_cfg = _model_configs(args)
     net = model.train_bp_pso(X[np.ix_(train_idx, cols)], y[train_idx],
                              net_builder(len(cols)), pso_cfg, bp_cfg)
-    _write_json(args.out, "model.json", net.to_json())
+    run.net = net       # `report`'s `shap` step attributes this net
+    run.write_json("model.json", net.to_json())
     scores = net.predict_proba(X[np.ix_(test_idx, cols)])
     metrics = stats.classification_metrics(scores, y[test_idx])
-    _write_json(args.out, "train_metrics.json", {
+    run.write_json("train_metrics.json", {
         "match_id": run.match.match_id, "scenario": args.scenario,
         "columns": [names[c] for c in cols],
         "test_metrics": metrics.to_json(),
     })
-    _summary(command="train", match_id=run.match.match_id,
-             scenario=args.scenario, test_auc=metrics.auc, final_loss=net.history["final_loss"])
+    run.summary(command="train", match_id=run.match.match_id,
+                scenario=args.scenario, test_auc=metrics.auc,
+                final_loss=net.history["final_loss"])
 
 
 def cmd_evaluate(args, run):
@@ -340,17 +345,16 @@ def cmd_evaluate(args, run):
     # scenario_matrix gives each seed's nets that seed's PSO stream
     table, _ = model.scenario_matrix(X, y, col_map, args.split, seeds,
                                      *_model_configs(args))
-    _write_json(args.out, "scenario_metrics.json", {
+    run.write_json("scenario_metrics.json", {
         "match_id": run.match.match_id, "seeds": seeds,
         "scenarios": {sid: table[sid].to_json() for sid in col_map},
     })
-    _write_csv_rows(
-        args.out, "scenario_metrics.csv",
-        ["scenario", "precision", "recall", "f1", "auc"],
+    run.write_csv_rows(
+        "scenario_metrics.csv", ["scenario", "precision", "recall", "f1", "auc"],
         [(sid, table[sid].precision, table[sid].recall,
           table[sid].f1, table[sid].auc) for sid in col_map])
-    _summary(command="evaluate", match_id=run.match.match_id,
-             auc={sid: table[sid].auc for sid in col_map})
+    run.summary(command="evaluate", match_id=run.match.match_id,
+                auc={sid: table[sid].auc for sid in col_map})
 
 
 def cmd_shap(args, run):
@@ -360,12 +364,7 @@ def cmd_shap(args, run):
     train_idx, test_idx = model.stratified_split(y, args.split, args.seed)
     if not len(test_idx):
         raise EmptyInput(f"--split {args.split} leaves no test rows to attribute")
-    try:
-        with open(args.model, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise BadModel(f"cannot read model {args.model!r}: {exc}") from None
-    net = model.TrainedNet.from_json(doc)
+    net = run.net
     if net.config.input_dim != len(cols):
         raise DimMismatch(
             f"model {args.model!r} takes {net.config.input_dim} inputs, but "
@@ -384,16 +383,15 @@ def cmd_shap(args, run):
         for i in sample
     ]
     ranking = explain.mean_abs_shap(reports, col_names)
-    _write_csv_rows(args.out, "shap.csv", ["feature", "mean_abs_phi", "rank"],
-                    [(f, v, i + 1) for i, (f, v) in enumerate(ranking)])
-    _write_csv_rows(
-        args.out, "shap_points.csv",
-        ["instance", "feature", "feature_value", "phi"],
+    run.write_csv_rows("shap.csv", ["feature", "mean_abs_phi", "rank"],
+                       [(f, v, i + 1) for i, (f, v) in enumerate(ranking)])
+    run.write_csv_rows(
+        "shap_points.csv", ["instance", "feature", "feature_value", "phi"],
         [(i, name, x, phi) for i, r in zip(sample.tolist(), reports)
          for name, x, phi in zip(col_names, X[i, cols].tolist(),
                                  r.phi.tolist())])
-    _summary(command="shap", match_id=run.match.match_id,
-             instances=len(reports), ranking=[f for f, _ in ranking])
+    run.summary(command="shap", match_id=run.match.match_id,
+                instances=len(reports), ranking=[f for f, _ in ranking])
 
 
 def cmd_synth(args, run):
@@ -404,22 +402,16 @@ def cmd_synth(args, run):
     cfg = synth.GeneratorConfig(p=args.p, T=args.points, matches=args.matches,
                                 seed=args.seed, boost=boost)
     seqs = synth.gen_momentum(cfg)
-    _atomic_write(args.out, "synth.csv",
-                  lambda fh: synth.sequences_to_csv(seqs, fh))
-    _summary(command="synth", matches=args.matches, points=args.points,
-             p=args.p, boost=args.boost, seed=args.seed)
+    run.files["synth.csv"] = lambda fh: synth.sequences_to_csv(seqs, fh)
+    run.summary(command="synth", matches=args.matches, points=args.points,
+                p=args.p, boost=args.boost, seed=args.seed)
 
 
 def cmd_report(args, run):
-    # fail before any step writes; frames first, so the match is derived once
-    run.match, run.frames, run.analysis
-    if (width := len(run.scenario[3][args.scenario])) > explain.MAX_FEATURES:
-        raise TooManyFeatures(width, explain.MAX_FEATURES)     # as `shap` would
-    args.model = os.path.join(args.out, "model.json")     # written by `train`
     for step in REPORT_STEPS:
         COMMANDS[step][0](args, run)
-    _write_text(args.out, "plot.py", PLOT_STUB)
-    _summary(command="report", out=args.out)
+    run.files["plot.py"] = lambda fh: fh.write(PLOT_STUB)
+    run.summary(command="report", out=args.out)
 
 
 # ---------------------------------------------------------------- parser
@@ -611,7 +603,7 @@ COMMANDS = {
 }
 REPORT_STEPS = ("ingest", "test-momentum", "momentum", "changepoints", "shift",
                 "train", "shap")
-# `--seed` first, then the steps' groups once each; `shap` reads `train`'s model
+# `--seed` first, then the steps' groups once each; `shap` takes `train`'s net
 COMMANDS["report"] = (
     cmd_report, "full pipeline for one match",
     (_seed_opt, *dict.fromkeys(group for step in REPORT_STEPS
@@ -658,7 +650,12 @@ def main(argv=None):
         if missing:
             command.error("the following arguments are required: "
                           + ", ".join(missing))
-        COMMANDS[args.command][0](args, Run(args))
+        run = Run(args)
+        COMMANDS[args.command][0](args, run)
+        for name, write in run.files.items():
+            _atomic_write(args.out, name, write)
+        for line in run.lines:
+            print(line)
     # MemoryError: a count too large to allocate, e.g. --replicates 10**13
     except (MatchPulseError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

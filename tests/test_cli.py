@@ -244,7 +244,7 @@ def _first_match_cut_to_one_point():
     return "".join(lines[:2] + lines[41:])      # header, 1 + 40 points
 
 
-# each fails before report's first step writes
+# each fails in one of report's steps, and report writes nothing
 @pytest.mark.parametrize("text, flags, error", [
     (corpus.corpus_csv(3, 60, 0.1, 1), ["--match-id", "nope"],
      "match id not found: 'nope'"),
@@ -256,8 +256,12 @@ def _first_match_cut_to_one_point():
     (corpus.corpus_csv(3, 60, 0.1, 1),
      ["--features", ",".join(f"x{i}" for i in range(1, 14))],
      "exact Shapley enumeration limited to 15 features, got 16"),
+    # fails in `train`, after five steps have collected 10 files
+    (corpus.corpus_csv(1, 300, 0.1, 1),
+     ["--split", "0.999", "--epochs", "5", "--pso-iterations", "2"],
+     "test split lost a class"),
 ], ids=["unknown-match-id", "tuner-fails", "one-point-match",
-        "too-many-features"])
+        "too-many-features", "split-loses-a-class"])
 def test_report_with_unknown_match_id_writes_nothing(text, flags, error,
                                                      tmp_path, capsys):
     path, out = tmp_path / "points.csv", tmp_path / "r"
@@ -267,6 +271,42 @@ def test_report_with_unknown_match_id_writes_nothing(text, flags, error,
     assert code == 1
     assert (captured.out, captured.err) == ("", f"error: {error}\n")
     assert not out.exists()
+
+
+def test_failed_report_leaves_an_existing_out_unchanged(tmp_path, capsys):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(corpus.corpus_csv(1, 300, 0.1, 1))
+    second.write_text(corpus.corpus_csv(1, 300, 0.1, 2))
+    out = tmp_path / "r"
+    assert main(["report", "--input", str(first), "--out", str(out),
+                 "--background", "10", "--shap-points", "2", *FAST_MODEL]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["report", "--input", str(second), "--out", str(out),
+                 "--split", "0.999"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.out, captured.err) == ("", "error: test split lost a class\n")
+    # every name, temporary `.`-prefixed files included
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_report_hands_shap_the_net_train_writes(tmp_path, capsys):
+    # 37 background rows: the case where BLAS scores a block's last rows
+    # through its tail kernel, so any change in the net's arrays would show
+    path = tmp_path / "points.csv"
+    path.write_text(corpus.corpus_csv(1, 300, 0.1, 1))
+    shap = ["--background", "37", "--shap-points", "60"]
+    for argv in (["report", *FAST_MODEL, *shap], ["train", *FAST_MODEL],
+                 ["shap", "--model", str(tmp_path / "train" / "model.json"),
+                  *shap]):
+        assert main([*argv, "--input", str(path),
+                     "--out", str(tmp_path / argv[0])]) == 0
+    capsys.readouterr()
+    for out, name in [("train", "model.json"), ("shap", "shap.csv"),
+                      ("shap", "shap_points.csv")]:
+        assert (tmp_path / "report" / name).read_bytes() == \
+            (tmp_path / out / name).read_bytes(), name
 
 
 def test_bad_input_file_exits_1(tmp_path, capsys):
@@ -1033,7 +1073,7 @@ def test_report_flags_match_their_commands(step, dest):
 
 
 def test_report_has_no_model_flag():
-    # `report` passes its `train` step's model.json to its `shap` step
+    # `report` hands its `shap` step the net its `train` step trained
     assert "model" not in build_parser().commands["report"].options
 
 

@@ -50,7 +50,10 @@ CALLS = {
         # and the last in 1, which BLAS scores through its tail kernel, so a
         # coalition that moves within the blocks moves last bits
         ("shap-b37", ["shap", "--model", "{seed}/train/model.json",
-                      "--background", "37", "--shap-points", "60"])],
+                      "--background", "37", "--shap-points", "60"]),
+        # fails in its `train` step, so it must write nothing
+        ("report-split-fails", ["report", "--split", "0.999", "--epochs", "5",
+                                "--pso-iterations", "2"])],
 }
 # run once on the edge corpus, as call "edge/<name>"
 EDGE_CALLS = [("ingest", ["ingest"]), ("report", ["report"]),
